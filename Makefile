@@ -5,7 +5,8 @@ export PYTHONPATH := src
 
 .PHONY: test lint analyze bench-smoke bench e22 bench-batch bench-batch-smoke \
 	bench-serve bench-serve-smoke bench-api bench-serve-sharded \
-	bench-serve-sharded-smoke bench-scenarios bench-scenarios-smoke
+	bench-serve-sharded-smoke bench-scenarios bench-scenarios-smoke \
+	perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -104,3 +105,18 @@ bench-scenarios-smoke:
 bench-api:
 	$(PYTHON) -m pytest benchmarks/bench_e25_api_pipeline.py -q \
 		--benchmark-disable
+
+# The front-door benchmark (perfbench/, declared in BENCHMARK.json): a
+# 3-second untraced run of each declared workload, failing unless the
+# run's last line reports "correct": true — so an API change cannot
+# break the benchmark unnoticed.
+PERFBENCH_SMOKE_WORKLOADS = serve-open churn-sharded
+
+perfbench-smoke:
+	@for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 3 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+			|| { echo "perfbench-smoke: $$workload is not correct"; exit 1; }; \
+	done

@@ -8,9 +8,9 @@ Two claims, one artifact:
   4.3/4.5 amplification loop runs as a constant number of NumPy kernels
   per iterate.  Acceptance bar: **≥ 5× instances/sec over the
   per-instance ``classes`` loop at B = 256, ν ≤ 32**.
-* **Stacked dense subspace** (ISSUE 5): on the medium-``N`` grid —
-  where the planner's per-instance choice is the dense ``subspace``
-  backend — the ``(B, N, 2)`` stacked-dense backend amortizes the
+* **Stacked dense subspace**: on the medium-``N`` grid,
+  against the explicit per-instance dense ``subspace`` backend, the
+  ``(B, N, 2)`` stacked-dense backend amortizes the
   per-run Python cost (sampler construction, plan solve, schedule,
   kernel dispatch) across the batch while staying bit-identical to
   per-instance rows.  Acceptance bar: **≥ 3× instances/sec over

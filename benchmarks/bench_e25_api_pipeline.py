@@ -6,7 +6,7 @@ stacked batch, process fan-out, served stream — with the same audit
 surface (plan, ledger totals, exactness) and fidelity agreement at the
 serving subsystem's 1e-12 bar.  The planner's ``auto`` rules are
 asserted alongside: the stacked engine for homogeneous groups of 64+,
-the ``classes`` backend at ``N ≥ 10⁵``.
+the ``classes`` backend at every ``N``.
 
 This is the ``make bench-api`` smoke CI runs: a tiny grid, all four
 strategies, wall-clock per strategy recorded in
@@ -22,7 +22,6 @@ import pytest
 from repro import sample_many
 from repro.analysis import InstanceSpec
 from repro.api import (
-    CLASSES_UNIVERSE_THRESHOLD,
     STACK_THRESHOLD,
     Planner,
     SamplingRequest,
@@ -75,8 +74,9 @@ def test_e25_api_pipeline_smoke(report):
         [SamplingRequest(spec=GRID[0])] * STACK_THRESHOLD
     )
     assert set(auto_plan.strategies()) == {"stacked"}
-    assert planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD) == "classes"
-    assert planner.auto_backend("sequential", 128) == "subspace"
+    assert set(auto_plan.backends()) == {"classes"}
+    assert planner.auto_backend("sequential") == "classes"
+    assert planner.auto_backend("parallel") == "classes"
 
     rows = []
     trajectory = []
@@ -122,7 +122,6 @@ def test_e25_api_pipeline_smoke(report):
         payload={
             "trajectory": trajectory,
             "stack_threshold": STACK_THRESHOLD,
-            "classes_universe_threshold": CLASSES_UNIVERSE_THRESHOLD,
             "grid": [spec.label() for spec in GRID],
         },
     )

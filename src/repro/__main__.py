@@ -154,7 +154,6 @@ def _cmd_sample_batch(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             include_probabilities=False,
             batchable=True,
-            max_dense_dimension=args.max_dense_dim,
         )
         results = sample_many(
             [request] * args.batch, jobs=args.jobs, rng=args.seed
@@ -195,7 +194,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 backend=args.backend or "auto",
                 capacity=args.capacity,
                 seed=args.seed,
-                max_dense_dimension=args.max_dense_dim,
             )
             subject = f"scenario {args.scenario!r}"
         else:
@@ -205,7 +203,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 model=args.model,
                 backend=args.backend or "auto",
                 capacity=args.capacity,
-                max_dense_dimension=args.max_dense_dim,
             )
             subject = repr(db)
         result = sample(request)
@@ -489,8 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=sorted(set(backend_names())),
         default=None,
-        help="simulation backend (default: the planner's auto choice — "
-        "the dense fast path for small N, 'classes' at scale)",
+        help="simulation backend (default: the planner's auto choice, "
+        "'classes' at every N; the dense backends run only when named)",
     )
     sample.add_argument("--strategy", default="round_robin")
     sample.add_argument(
@@ -531,15 +528,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fan batches across J worker processes (only with --batch)",
     )
     sample.add_argument(
-        "--max-dense-dim",
-        type=int,
-        default=None,
-        metavar="DIM",
-        help="per-run override of the dense memory cap: auto routing picks a "
-        "dense representation (per-instance or the (B, N, 2) stacked-dense "
-        "batch tensor) only while the instance dimension 2N fits DIM",
-    )
-    sample.add_argument(
         "--trace", default=None, metavar="PATH",
         help="enable repro.obs tracing and append every finished span to "
         "PATH as JSON lines (plus a final metrics snapshot); render with "
@@ -557,8 +545,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=["auto", *stacked_backend_names()],
         default="auto",
-        help="stacked substrate batches execute on; auto resolves per "
-        "request by universe size (the planner's rule)",
+        help="stacked substrate batches execute on; auto resolves to "
+        "classes (the planner's rule)",
     )
     serve.add_argument("--strategy", default="round_robin")
     serve.add_argument(

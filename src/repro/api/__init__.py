@@ -12,9 +12,9 @@ package routes every workload through a single pipeline instead:
     backend (``"auto"`` by default), capacity policy, seed and batching
     hints.
 :class:`Planner` → :class:`ExecutionPlan`
-    *How* it executes: ``auto`` backend selection by scale
-    (dense fast path for small ``N``, ``classes`` at ``N ≥ 10⁵``), and
-    strategy routing — per-instance for heterogeneous requests, the
+    *How* it executes: ``auto`` resolves to the ``O(ν)``-memory
+    ``classes`` substrate at every ``N`` (the dense layouts are
+    explicit-only references), and strategy routing — per-instance for heterogeneous requests, the
     stacked ``(B, ν+1, 2)`` batch engine for homogeneous groups of 64+,
     process fan-out for build-dominated loads (``jobs > 1``), the
     serving dispatcher for streams.
@@ -37,7 +37,6 @@ Quickstart
 
 from .execute import DEFAULT_PLANNER, execute_plan, sample, sample_many, serve
 from .planner import (
-    CLASSES_UNIVERSE_THRESHOLD,
     STACK_THRESHOLD,
     STRATEGIES,
     ExecutionGroup,
@@ -50,7 +49,6 @@ from .results import Result, ResultSet, unified_row
 
 __all__ = [
     "CAPACITY_POLICIES",
-    "CLASSES_UNIVERSE_THRESHOLD",
     "DEFAULT_PLANNER",
     "ExecutionGroup",
     "ExecutionPlan",

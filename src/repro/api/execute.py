@@ -22,8 +22,8 @@ Strategy executors
 ``stacked``:
     The stacked batch engine
     (:func:`~repro.batch.engine.execute_class_batch`) on the group's
-    resolved substrate — the ``(B, ν+1, 2)`` count-class tensor or the
-    ``(B, N, 2)`` dense subspace tensor — chunked by ``batch_size`` in
+    resolved substrate — the ``(B, ν+1, 2)`` count-class tensor under
+    ``auto``, or an explicitly named one — chunked by ``batch_size`` in
     request order; rows are bit-identical to
     ``run_batched(backend=<same>)`` for the same seeds and batch size.
 ``fanout``:
@@ -193,12 +193,10 @@ def serve(
                     ),
                     include_probabilities=request.include_probabilities,
                     capacity=request.capacity,
-                    # "auto" passes through verbatim: the dispatcher then
-                    # resolves the stacked substrate per request by
-                    # universe size (mixed-N streams pack per backend),
-                    # honoring the request's dense memory cap.
+                    # "auto" passes through verbatim: the dispatcher
+                    # resolves it to classes (or pools it onto ragged
+                    # when the fill threshold is armed).
                     backend=request.backend,
-                    max_dense_dimension=request.max_dense_dimension,
                 )
                 if effective_shards is not None:
                     service = ShardedSamplerService(
@@ -209,7 +207,7 @@ def serve(
             else:
                 assert first is not None
                 for attr in ("model", "capacity", "include_probabilities",
-                             "backend", "max_dense_dimension", "shards"):
+                             "backend", "shards"):
                     if getattr(request, attr) != getattr(first.request, attr):
                         raise PlanningError(
                             f"served streams are homogeneous in {attr}: got "

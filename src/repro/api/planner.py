@@ -5,16 +5,16 @@ topology; the stack, likewise, is one set of engines parameterized by
 strategy.  The :class:`Planner` owns every routing rule that used to be
 duplicated across the four legacy front doors:
 
-* **backend selection** — ``"auto"`` resolves by scale and model: the
-  dense fast path (``subspace`` sequential / ``synced`` parallel) below
-  :data:`CLASSES_UNIVERSE_THRESHOLD`, the ``O(ν)``-memory ``classes``
-  compression at ``N ≥ 10⁵``.  Batched strategies resolve against the
-  *stacked*-backend registry (:mod:`repro.batch.backends`) with the
-  same shape of rule: small/medium-``N`` sequential groups stack on the
-  ``(B, N, 2)`` dense ``subspace`` tensor (while ``2N`` fits the
-  ``max_dense_dimension`` cap, overridable per request), everything
-  else on the ``(B, ν+1, 2)`` ``classes`` compression — and stream
-  snapshots always run ``classes``;
+* **backend selection** — ``"auto"`` resolves to the ``O(ν)``-memory
+  ``classes`` substrate on every strategy and at every ``N``
+  (:data:`repro.batch.backends.CLASS_SUBSTRATE`, the one definition):
+  every operator of the samplers touches the element register only
+  through the joint count, so the count-class state is exact at any
+  scale.  Explicit names are validated against the per-instance
+  registry (instance strategy) or the *stacked*-backend registry
+  (:mod:`repro.batch.backends`, batched strategies); the dense
+  ``subspace``/``synced``/``dense``/``oracles`` backends are reachable
+  only by name, and stream snapshots always run ``classes``;
 * **strategy selection** — per-instance execution for heterogeneous or
   unstackable-backend requests, the stacked batch engine for
   homogeneous groups of at least :data:`STACK_THRESHOLD` requests (or
@@ -29,10 +29,9 @@ duplicated across the four legacy front doors:
   composing with ``skip_empty`` — dead machines are skipped, never
   queried).
 
-The two routing thresholds live in :mod:`repro.config`
-(:attr:`~repro.config.NumericsConfig.stack_threshold`,
-:attr:`~repro.config.NumericsConfig.classes_universe_threshold`) so
-tests and benchmarks consume the same numbers the planner does.
+The stacking threshold lives in :mod:`repro.config`
+(:attr:`~repro.config.NumericsConfig.stack_threshold`) so tests and
+benchmarks consume the same number the planner does.
 
 The legacy drivers (``run_sweep``, ``run_batched``,
 :class:`~repro.serve.SamplerService`) consume the same planner helpers
@@ -46,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..batch.backends import auto_stacked_backend, stacked_backend_names
+from ..batch.backends import CLASS_SUBSTRATE, stacked_backend_names
 from ..config import CONFIG
 from ..core.backends import MODELS, backend_names, resolve_backend
-from ..errors import PlanningError, RequestError, ValidationError
+from ..errors import PlanningError, ValidationError
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from .request import AUTO_BACKEND, CAPACITY_POLICIES, SamplingRequest
@@ -63,20 +62,8 @@ from .request import AUTO_BACKEND, CAPACITY_POLICIES, SamplingRequest
 #: (every ``Planner()`` built afterwards picks them up), not this value.
 STACK_THRESHOLD = CONFIG.stack_threshold
 
-#: Universe size at which ``"auto"`` switches from the dense fast path
-#: to the ``classes`` compression (the dense layouts' wall time crosses
-#: ``classes`` well before this; see benchmarks/_results/E22.json).
-#: Import-time snapshot of the default of
-#: :attr:`repro.config.NumericsConfig.classes_universe_threshold` —
-#: same caveat as :data:`STACK_THRESHOLD`.
-CLASSES_UNIVERSE_THRESHOLD = CONFIG.classes_universe_threshold
-
 #: The four execution strategies.
 STRATEGIES = ("instance", "stacked", "fanout", "served")
-
-#: The always-available stacked substrate (any scale, both models) and
-#: the one stream snapshots run on.
-BATCH_SUBSTRATE = "classes"
 
 
 def require_model(model: str) -> str:
@@ -172,79 +159,27 @@ class Planner:
     stack_threshold:
         Homogeneous group size at which stacking wins
         (default :data:`STACK_THRESHOLD`).
-    classes_universe_threshold:
-        ``N`` at which ``"auto"`` switches to the ``classes`` backend
-        (default :data:`CLASSES_UNIVERSE_THRESHOLD`).
     """
 
-    def __init__(
-        self,
-        stack_threshold: int | None = None,
-        classes_universe_threshold: int | None = None,
-    ) -> None:
-        # None pulls the live config fields, so a CONFIG override (tests,
+    def __init__(self, stack_threshold: int | None = None) -> None:
+        # None pulls the live config field, so a CONFIG override (tests,
         # tuned deployments) reaches every planner built afterwards.
         if stack_threshold is None:
             stack_threshold = CONFIG.stack_threshold
-        if classes_universe_threshold is None:
-            classes_universe_threshold = CONFIG.classes_universe_threshold
         if stack_threshold < 1:
             raise PlanningError(f"stack_threshold must be >= 1, got {stack_threshold}")
-        if classes_universe_threshold < 1:
-            raise PlanningError(
-                "classes_universe_threshold must be >= 1, got "
-                f"{classes_universe_threshold}"
-            )
         self.stack_threshold = stack_threshold
-        self.classes_universe_threshold = classes_universe_threshold
 
     # -- backend selection ---------------------------------------------------------
 
-    def auto_backend(
-        self, model: str, universe: int, max_dense_dimension: int | None = None
-    ) -> str:
-        """The ``"auto"`` rule for a *per-instance* run: dense below the
-        scale threshold (and within the dense-dimension cap), ``classes``
-        at and above it.
+    def auto_backend(self, model: str) -> str:
+        """The ``"auto"`` rule for a *per-instance* run: ``classes``.
 
-        The cap guard compares the element-register dimension ``2N`` — a
-        lower bound on every dense layout.  Parallel-model layouts also
-        carry a ``ν+1`` counting axis the planner cannot know at routing
-        time, so an over-cap ``synced`` run still fails with the honest
-        :class:`~repro.errors.SimulationLimitError` at construction
-        rather than being silently rerouted.
+        The same substrate the batched strategies stack on, at every
+        ``N``; the ``O(ν)`` state never approaches the dense memory cap.
         """
         require_model(model)
-        cap = (
-            CONFIG.max_dense_dimension
-            if max_dense_dimension is None
-            else max_dense_dimension
-        )
-        if universe >= self.classes_universe_threshold or 2 * universe > cap:
-            return BATCH_SUBSTRATE
-        return "subspace" if model == "sequential" else "synced"
-
-    def stacked_backend(
-        self, model: str, universe: int, max_dense_dimension: int | None = None
-    ) -> str:
-        """The ``"auto"`` rule for one *batched* instance.
-
-        Pure delegation to
-        :func:`repro.batch.backends.auto_stacked_backend` — the one
-        definition of the rule, also applied by
-        ``run_batched(backend="auto")`` and the serving dispatcher —
-        with this planner's ``classes_universe_threshold`` threaded
-        through: ``classes`` at scale or when the dense tensor would
-        not fit, the ``(B, N, 2)`` stacked-dense representation for the
-        small/medium-``N`` groups it supports.
-        """
-        require_model(model)
-        return auto_stacked_backend(
-            model,
-            universe,
-            max_dense_dimension=max_dense_dimension,
-            classes_universe_threshold=self.classes_universe_threshold,
-        )
+        return CLASS_SUBSTRATE
 
     def validated_backend(self, name: str, model: str) -> str:
         """Resolve an explicit backend name; raises with the choices."""
@@ -416,32 +351,14 @@ class Planner:
         if request.backend == AUTO_BACKEND:
             return True
         if request.source == "stream":
-            return request.backend == BATCH_SUBSTRATE
+            return request.backend == CLASS_SUBSTRATE
         return request.backend in stacked_backend_names(request.model)
 
     def _resolve_stacked_backend(self, request: SamplingRequest, strategy: str) -> str:
         """The stacked substrate one batched/served request executes on."""
         names = stacked_backend_names(request.model)
-        if request.source == "stream":
-            # Stream snapshots are count-class views; only the classes
-            # substrate serves them without a rebuild, at any strategy.
-            if request.backend not in (AUTO_BACKEND, BATCH_SUBSTRATE):
-                raise PlanningError(
-                    f"backend {request.backend!r} cannot execute a stream "
-                    f"snapshot; stream requests run on the {BATCH_SUBSTRATE!r} "
-                    "substrate"
-                )
-            return BATCH_SUBSTRATE
         if request.backend == AUTO_BACKEND:
-            try:
-                universe = request.planning_universe()
-            except RequestError:
-                # A spec recipe without a declared universe can still
-                # stack — on the scale-free substrate.
-                return BATCH_SUBSTRATE
-            return self.stacked_backend(
-                request.model, universe, request.max_dense_dimension
-            )
+            return CLASS_SUBSTRATE
         if request.backend in names:
             return request.backend
         raise PlanningError(
@@ -456,22 +373,20 @@ class Planner:
         skip = request.skip_zero_capacity()
         if strategy not in STRATEGIES:
             raise PlanningError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-        if strategy in ("stacked", "fanout", "served"):
-            backend = self._resolve_stacked_backend(request, strategy)
-        elif request.source == "stream":
+        if request.source == "stream":
             # Stream snapshots are count-class views; only the classes
             # substrate can execute them, at any strategy.
-            if request.backend not in (AUTO_BACKEND, BATCH_SUBSTRATE):
+            if request.backend not in (AUTO_BACKEND, CLASS_SUBSTRATE):
                 raise PlanningError(
                     f"backend {request.backend!r} cannot execute a stream "
-                    f"snapshot; stream requests run on the {BATCH_SUBSTRATE!r} "
+                    f"snapshot; stream requests run on the {CLASS_SUBSTRATE!r} "
                     "substrate"
                 )
-            backend = BATCH_SUBSTRATE
+            backend = CLASS_SUBSTRATE
+        elif strategy in ("stacked", "fanout", "served"):
+            backend = self._resolve_stacked_backend(request, strategy)
         elif request.backend == AUTO_BACKEND:
-            backend = self.auto_backend(
-                request.model, request.planning_universe(), request.max_dense_dimension
-            )
+            backend = self.auto_backend(request.model)
         else:
             backend = self.validated_backend(request.backend, request.model)
             if request.batchable and backend not in stacked_backend_names(request.model):

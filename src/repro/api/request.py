@@ -58,10 +58,10 @@ class SamplingRequest:
         ``"sequential"`` (Theorem 4.3) or ``"parallel"`` (Theorem 4.5).
     backend:
         A registered backend name, or ``"auto"`` (default) to let the
-        planner choose by scale: the dense fast path for small ``N``
-        (``subspace``/``synced``), the ``O(ν)``-memory ``classes``
-        compression at ``N ≥ 10⁵`` — and always ``classes`` when the
-        request executes batched, served, or from a stream snapshot.
+        planner choose: the ``O(ν)``-memory ``classes`` substrate, on
+        every strategy and at every ``N``.  The dense
+        ``subspace``/``synced``/``dense``/``oracles`` backends run only
+        when named explicitly; stream snapshots always run ``classes``.
     capacity:
         ``"all"`` or ``"skip_empty"`` (see :data:`CAPACITY_POLICIES`).
     seed:
@@ -108,20 +108,6 @@ class SamplingRequest:
         streams must agree on it (the tier is one homogeneous service).
         Ignored by the non-served strategies — like ``batch_size``, it
         describes *how* serving executes, not what is sampled.
-    max_dense_dimension:
-        Per-run *routing* override of the dense-stacking memory cap
-        (:attr:`~repro.config.NumericsConfig.max_dense_dimension`): the
-        planner's auto rules pick a dense representation — per-instance
-        or the ``(B, N, 2)`` stacked subspace tensor — only while the
-        per-instance element-register dimension ``2N`` fits, so stacked
-        memory stays under ``max_dense_dimension × B`` cells.  The
-        global config cap still guards tensor construction, so this
-        override can tighten routing below it but not lift it (raise
-        the config field for that); parallel-model layouts carry an
-        extra ``ν+1`` counting axis the planner cannot see, so their
-        honest :class:`~repro.errors.SimulationLimitError` at execution
-        remains the backstop.  ``None`` (default) uses the global
-        config value; must be positive.
 
     Exactly one of ``database``/``spec``/``stream`` must be set.
     """
@@ -136,7 +122,6 @@ class SamplingRequest:
     include_probabilities: bool = True
     label: str | None = None
     batchable: bool | None = None
-    max_dense_dimension: int | None = None
     shards: int | None = None
     scenario: object | None = None
     fault_mask: tuple[int, ...] | None = None
@@ -166,11 +151,6 @@ class SamplingRequest:
             )
         if not isinstance(self.backend, str) or not self.backend:
             raise RequestError("backend must be a non-empty string (or 'auto')")
-        if self.max_dense_dimension is not None and self.max_dense_dimension <= 0:
-            raise RequestError(
-                "max_dense_dimension must be a positive dimension cap, got "
-                f"{self.max_dense_dimension}"
-            )
         if self.shards is not None and self.shards <= 0:
             raise RequestError(
                 f"shards must be a positive worker count, got {self.shards}"
@@ -255,7 +235,7 @@ class SamplingRequest:
         if universe is None:
             raise RequestError(
                 f"workload {self.spec.workload.name!r} declares no 'universe' "
-                "parameter; pass an explicit backend= instead of 'auto'"
+                "parameter"
             )
         return int(universe)
 

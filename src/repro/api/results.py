@@ -181,16 +181,23 @@ class ResultSet:
 
         Maps span name → ``{count, total_s, p50_s, p99_s, max_s}``
         across all results (empty when the run was untraced) — the
-        per-phase wall-time signal the cost-model planner reads.
+        per-phase wall-time signal the cost-model planner reads.  Each
+        span counts once, keyed by ``span_id``: a batch-level span (one
+        stacked chunk's ``execute``) is attached to every request it
+        carried, and counting it per request would inflate ``total_s``
+        by the batch size.
         """
         from ..obs.metrics import percentile
 
-        durations: dict[str, list[float]] = {}
+        spans: dict[str, dict] = {}
         for result in self.results:
             for record in result.trace or ():
-                durations.setdefault(record["name"], []).append(
-                    float(record["duration_s"])
-                )
+                spans[record["span_id"]] = record
+        durations: dict[str, list[float]] = {}
+        for record in spans.values():
+            durations.setdefault(record["name"], []).append(
+                float(record["duration_s"])
+            )
         summary: dict[str, dict[str, float]] = {}
         for name, values in sorted(durations.items()):
             values.sort()

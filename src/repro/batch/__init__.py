@@ -6,7 +6,7 @@ as one tensor, on an interchangeable stacked representation.
 :mod:`repro.batch.backends`
     :class:`StackedBackend` — the stacked-backend protocol and registry
     (the batch-level mirror of :mod:`repro.core.backends`), with
-    ``"auto"`` resolution by universe size.
+    ``"auto"`` resolving to the ``classes`` substrate at every scale.
 :mod:`repro.batch.stacked`
     :class:`StackedClassVector` — ``B`` count-class states as a single
     ``(B, C, 2)`` amplitude tensor with per-instance class maps (the
@@ -14,9 +14,9 @@ as one tensor, on an interchangeable stacked representation.
 :mod:`repro.batch.stacked_dense`
     :class:`StackedSubspaceVector` — ``B`` dense Eq. (5) states as one
     ``(B, N, 2)`` tensor (the ``"subspace"`` substrate, bit-identical to
-    per-instance subspace rows for small/medium ``N``), and
-    :class:`StackedSyncedVector` — the same planes carrying the parallel
-    Lemma 4.4 fast path (the ``"synced"`` substrate).
+    per-instance subspace rows), and :class:`StackedSyncedVector` — the
+    same planes carrying the parallel Lemma 4.4 layout (the ``"synced"``
+    substrate); both explicit-only equivalence references.
 :mod:`repro.batch.ragged`
     :class:`RaggedClassVector` — ``B`` heterogeneous-ν count-class
     states CSR-packed into one ``(Σ(νᵢ+1), 2)`` value plane (the
@@ -33,11 +33,12 @@ as one tensor, on an interchangeable stacked representation.
 
 from .backends import (
     AUTO_STACKED_BACKEND,
+    CLASS_SUBSTRATE,
     StackedBackend,
-    auto_stacked_backend,
     create_stacked_backend,
     register_stacked_backend,
     resolve_stacked_backend,
+    resolve_stacked_name,
     stacked_backend_names,
 )
 from .driver import (
@@ -55,6 +56,7 @@ from .stacked_dense import StackedSubspaceVector, StackedSyncedVector
 
 __all__ = [
     "AUTO_STACKED_BACKEND",
+    "CLASS_SUBSTRATE",
     "ClassInstance",
     "DEFAULT_BATCH_SIZE",
     "RaggedClassVector",
@@ -63,7 +65,6 @@ __all__ = [
     "StackedSubspaceVector",
     "StackedSyncedVector",
     "audit_row",
-    "auto_stacked_backend",
     "cached_plan",
     "create_stacked_backend",
     "default_row",
@@ -74,6 +75,7 @@ __all__ = [
     "padded_fill_ratio",
     "register_stacked_backend",
     "resolve_stacked_backend",
+    "resolve_stacked_name",
     "run_batched",
     "stacked_backend_names",
 ]

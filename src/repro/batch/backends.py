@@ -23,13 +23,13 @@ Stacked backends
     ``B`` dense Eq. (5) states as one ``(B, N, 2)`` tensor
     (:mod:`repro.batch.stacked_dense`), padded with inert rows for
     mixed-``N`` batches.  Reproduces per-instance
-    :class:`~repro.core.backends.SubspaceBackend` rows **bit-identically**
-    and is the fast path for small/medium-``N`` homogeneous sweeps.
+    :class:`~repro.core.backends.SubspaceBackend` rows **bit-identically**;
+    explicit-only, the reference the equivalence suites check against.
 ``"synced"`` (parallel):
     the same ``(B, N, 2)`` stacked-dense machinery driving the Lemma
-    4.4 synced layout (:class:`~repro.batch.stacked_dense.StackedSyncedBackend`)
-    — small-``N`` *parallel* groups stack densely too, bit-identical to
-    per-instance :class:`~repro.core.backends.SyncedBackend` rows.
+    4.4 synced layout (:class:`~repro.batch.stacked_dense.StackedSyncedBackend`),
+    bit-identical to per-instance
+    :class:`~repro.core.backends.SyncedBackend` rows; explicit-only.
 ``"ragged"`` (both models):
     CSR-style ``(values, offsets)`` packing of heterogeneous-ν batches
     into one contiguous ``(Σνᵢ+B, 2)`` plane
@@ -43,11 +43,13 @@ share the batched phase surface of
 ``apply_global_phase``, with scalar or per-instance ``(B,)`` phases), so
 the engine's iterate loop never branches on the representation.
 
-``"auto"`` resolution mirrors the per-instance planner rule and is
-shared by the planner, ``run_batched`` and the serving dispatcher:
-``classes`` at ``N ≥ classes_universe_threshold`` (or whenever the dense
-tensor would not fit), the stacked-dense ``subspace`` representation for
-sequential-model instances below it.
+``"auto"`` resolves to :data:`CLASS_SUBSTRATE` — defined once, here, and
+applied by the planner, the batch engine and both serving tiers at every
+``N``.  Every operator of the paper's samplers touches the element
+register only through the joint count ``c_i``, so the ``O(ν)``
+count-class state runs Theorems 4.3/4.5 exactly at any scale; the dense
+``subspace``/``synced`` stacks stay reachable by explicit name as the
+equivalence suites' references.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from typing import ClassVar, Protocol, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..config import CONFIG
 from ..core.distributing import u_rotation_blocks
 from ..errors import ValidationError
 from ..qsim.classvector import ClassVector
@@ -71,8 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The query models of Theorems 4.3 and 4.5 (mirrors core.backends.MODELS).
 MODELS = ("sequential", "parallel")
 
-#: The backend sentinel that resolves per instance by universe size.
+#: The backend sentinel that delegates the choice to :data:`CLASS_SUBSTRATE`.
 AUTO_STACKED_BACKEND = "auto"
+
+#: The substrate ``"auto"`` resolves to on every path (per instance,
+#: stacked, fanned out, served), at every universe size — and the one
+#: stream snapshots run on.
+CLASS_SUBSTRATE = "classes"
 
 
 class StackedState(Protocol):
@@ -222,55 +228,16 @@ def create_stacked_backend(
 # -- "auto" resolution -----------------------------------------------------------
 
 
-def auto_stacked_backend(
-    model: str,
-    universe: int,
-    max_dense_dimension: int | None = None,
-    classes_universe_threshold: int | None = None,
-) -> str:
-    """The ``"auto"`` rule for one batched instance — defined once, here.
-
-    The planner, ``run_batched(backend="auto")`` and the serving
-    dispatcher all delegate to this function.  ``classes`` at
-    ``N ≥ classes_universe_threshold`` (the compression's home regime)
-    and whenever the per-instance dense dimension ``2N`` would exceed
-    the cap; otherwise the ``(B, N, 2)`` stacked-dense representation —
-    ``subspace`` for sequential batches, the Lemma 4.4 ``synced``
-    layout for parallel ones (mirroring the per-instance planner rule).
-    Both knobs default to the live :data:`CONFIG` fields;
-    ``max_dense_dimension`` is the per-run ``SamplingRequest`` /
-    ``--max-dense-dim`` override, ``classes_universe_threshold`` the
-    per-planner one.
-    """
-    if model not in MODELS:
-        raise ValidationError(f"unknown model {model!r}; choose from {MODELS}")
-    cap = CONFIG.max_dense_dimension if max_dense_dimension is None else max_dense_dimension
-    threshold = (
-        CONFIG.classes_universe_threshold
-        if classes_universe_threshold is None
-        else classes_universe_threshold
-    )
-    if universe >= threshold or 2 * universe > cap:
-        return "classes"
-    dense_name = "subspace" if model == "sequential" else "synced"
-    dense = _REGISTRY.get(dense_name)
-    if dense is not None and model in dense.models:
-        return dense_name
-    return "classes"
-
-
-def resolve_stacked_name(
-    name: str, model: str, universe: int, max_dense_dimension: int | None = None
-) -> str:
+def resolve_stacked_name(name: str, model: str) -> str:
     """Resolve a caller-supplied backend knob to a registered name.
 
-    ``"auto"`` applies :func:`auto_stacked_backend`; explicit names are
+    ``"auto"`` resolves to :data:`CLASS_SUBSTRATE`; explicit names are
     validated against the registry (memory fitness for an explicit dense
     choice is enforced at tensor construction, where the honest
     :class:`~repro.errors.SimulationLimitError` lives).
     """
     if name == AUTO_STACKED_BACKEND:
-        return auto_stacked_backend(model, universe, max_dense_dimension)
+        name = CLASS_SUBSTRATE
     resolve_stacked_backend(name, model)
     return name
 

@@ -211,9 +211,9 @@ def run_batched(
         policy; ``"skip_empty"`` carries the capacity-aware
         flagged-round restriction into every batch.
     backend:
-        The stacked substrate (``"classes"`` default, ``"subspace"``
-        for small/medium-``N`` sequential sweeps, ``"auto"`` to resolve
-        per instance by universe size — the planner's rule).
+        The stacked substrate (``"classes"`` default, ``"ragged"``,
+        ``"auto"`` — ``classes``, the planner's rule — or an explicit
+        dense reference ``"subspace"``/``"synced"``).
 
     Returns
     -------

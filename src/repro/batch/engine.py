@@ -9,11 +9,10 @@ tensor, and hands back one
 :class:`~repro.core.result.SamplingResult` per input database, in input
 order.  The stacked representation is pluggable
 (:mod:`repro.batch.backends`): the ``(B, ν+1, 2)`` count-class tensor
-(``"classes"``, any scale), the ``(B, N, 2)`` dense tensors
-(``"subspace"``/``"synced"``, small/medium ``N``), the CSR-packed
-``"ragged"`` plane (heterogeneous ν at fill ratio ≈ 1), or ``"auto"``
-to pick per instance by universe size — the engine below never branches
-on the substrate.
+(``"classes"``, any scale — what ``"auto"`` resolves to), the CSR-packed
+``"ragged"`` plane (heterogeneous ν at fill ratio ≈ 1), or the explicit
+``(B, N, 2)`` dense references ``"subspace"``/``"synced"`` — the engine
+below never branches on the substrate.
 
 Backends that declare
 :attr:`~repro.batch.backends.StackedBackend.supports_mixed_schedules`
@@ -23,10 +22,9 @@ with a masked iterate loop — finished instances ride the remaining
 iterations under unit phases and identity rotation blocks, which are
 exact no-ops, so every instance still executes precisely its own
 schedule.  With ``CONFIG.ragged_fill_threshold > 0``, ``"auto"``
-batches whose ``classes``-bound instances would pad badly (padded fill
-below the threshold across ≥ 2 distinct shapes) are rerouted onto the
-``ragged`` substrate; the default threshold ``0.0`` keeps auto routing
-byte-stable.
+batches that would pad badly (padded fill below the threshold across
+≥ 2 distinct shapes) are rerouted onto the ``ragged`` substrate; the
+default threshold ``0.0`` keeps auto routing byte-stable.
 
 Exactness is not traded for throughput:
 
@@ -86,16 +84,13 @@ from ..database.ledger import QueryLedger
 from ..errors import ValidationError
 from .backends import (
     AUTO_STACKED_BACKEND,
+    CLASS_SUBSTRATE,
     StackedBackend,
     create_stacked_backend,
     resolve_stacked_backend,
     resolve_stacked_name,
 )
 from .ragged import padded_fill_ratio
-
-#: The default stacked substrate (and the name stamped on its results):
-#: the ``classes`` compression, which batches at any scale.
-BATCH_BACKEND = "classes"
 
 
 @dataclass(frozen=True)
@@ -398,7 +393,7 @@ def execute_sampling_batch(
     model: str = "sequential",
     include_probabilities: bool = True,
     skip_zero_capacity: bool = False,
-    backend: str = BATCH_BACKEND,
+    backend: str = CLASS_SUBSTRATE,
 ) -> list[SamplingResult]:
     """Run the Theorem 4.3/4.5 loop over many databases as stacked tensors.
 
@@ -424,13 +419,11 @@ def execute_sampling_batch(
         schedule fingerprints, identical output state).
     backend:
         The stacked substrate: ``"classes"`` (default — the ``O(ν)``
-        compression, any scale), ``"subspace"``/``"synced"`` (the
-        ``(B, N, 2)`` dense tensors, bit-identical to per-instance
-        ``subspace``/``synced`` rows), ``"ragged"`` (CSR-packed
+        compression, any scale), ``"ragged"`` (CSR-packed
         heterogeneous-ν groups, bit-identical to per-instance
-        ``classes`` rows), or ``"auto"`` to resolve per instance by
-        universe size
-        (:func:`~repro.batch.backends.auto_stacked_backend`), with
+        ``classes`` rows), ``"subspace"``/``"synced"`` (the explicit
+        ``(B, N, 2)`` dense references, bit-identical to per-instance
+        ``subspace``/``synced`` rows), or ``"auto"`` — ``classes``, with
         poor-fill heterogeneous batches rerouted to ``ragged`` when
         ``CONFIG.ragged_fill_threshold`` is positive.
 
@@ -454,39 +447,32 @@ def execute_sampling_batch(
     )
 
 
-def _reroute_heterogeneous(
+def _reroutes_to_ragged(
     requested: str,
-    backends: list[str],
     instances: Sequence[ClassInstance],
     plans: Sequence[AmplificationPlan],
-) -> None:
-    """Reroute poor-fill heterogeneous ``auto`` batches onto ``ragged``.
+) -> bool:
+    """Whether a poor-fill heterogeneous ``auto`` batch runs on ``ragged``.
 
-    Mutates ``backends`` in place.  Applies only when the caller asked
-    for ``"auto"`` routing and ``CONFIG.ragged_fill_threshold`` is
-    positive (the default ``0.0`` keeps auto labels byte-stable): the
-    ``classes``-bound instances are rerouted as one set when they span
-    at least two distinct ``(ν, schedule-shape)`` signatures — genuine
-    heterogeneity, not just a small batch — and a padded ``(B, C, 2)``
-    stack of them would fill below the threshold.  Explicit backend
-    names are never second-guessed; ``backend="ragged"`` opts in
-    unconditionally.
+    Applies only when the caller asked for ``"auto"`` routing and
+    ``CONFIG.ragged_fill_threshold`` is positive (the default ``0.0``
+    keeps auto labels byte-stable): the batch is rerouted as one set
+    when it spans at least two distinct ``(ν, schedule-shape)``
+    signatures — genuine heterogeneity, not just a small batch — and a
+    padded ``(B, C, 2)`` stack of it would fill below the threshold.
+    Explicit backend names are never second-guessed; ``backend="ragged"``
+    opts in unconditionally.
     """
     threshold = CONFIG.ragged_fill_threshold
     if requested != AUTO_STACKED_BACKEND or threshold <= 0:
-        return
-    routed = [i for i, name in enumerate(backends) if name == "classes"]
-    if len(routed) < 2:
-        return
+        return False
     shapes = {
-        (instances[i].nu, plans[i].grover_reps, plans[i].needs_final) for i in routed
+        (inst.nu, plan.grover_reps, plan.needs_final)
+        for inst, plan in zip(instances, plans)
     }
     if len(shapes) < 2:
-        return
-    if padded_fill_ratio([instances[i].nu + 1 for i in routed]) >= threshold:
-        return
-    for i in routed:
-        backends[i] = "ragged"
+        return False
+    return padded_fill_ratio([inst.nu + 1 for inst in instances]) < threshold
 
 
 def execute_class_batch(
@@ -494,7 +480,7 @@ def execute_class_batch(
     model: str = "sequential",
     include_probabilities: bool = True,
     skip_zero_capacity: bool = False,
-    backend: str = BATCH_BACKEND,
+    backend: str = CLASS_SUBSTRATE,
 ) -> list[SamplingResult]:
     """The instance-level core of :func:`execute_sampling_batch`.
 
@@ -515,27 +501,26 @@ def execute_class_batch(
     if not instances:
         return []
     plans = [cached_plan(inst.overlap()) for inst in instances]
-    backends = [
-        resolve_stacked_name(backend, model, inst.universe) for inst in instances
-    ]
-    _reroute_heterogeneous(backend, backends, instances, plans)
-    groups: dict[tuple[str, int | None, bool | None], list[int]] = {}
+    backend_name = resolve_stacked_name(backend, model)
+    if _reroutes_to_ragged(backend, instances, plans):
+        backend_name = "ragged"
+    backend_cls = resolve_stacked_backend(backend_name, model)
+    groups: dict[tuple[int, bool] | None, list[int]] = {}
     for idx, plan in enumerate(plans):
-        # Mixed-schedule backends group by compatibility class (the name
-        # alone) — the masked loop executes each instance's own schedule.
-        if resolve_stacked_backend(backends[idx], model).supports_mixed_schedules:
-            key: tuple[str, int | None, bool | None] = (backends[idx], None, None)
-        else:
-            key = (backends[idx], plan.grover_reps, plan.needs_final)
+        # Mixed-schedule backends take the whole batch as one group — the
+        # masked loop executes each instance's own schedule.
+        key = (
+            None
+            if backend_cls.supports_mixed_schedules
+            else (plan.grover_reps, plan.needs_final)
+        )
         groups.setdefault(key, []).append(idx)
     results: list[SamplingResult | None] = [None] * len(instances)
-    for (backend_name, _, _), indices in groups.items():
+    for indices in groups.values():
         # Backends may bound how many instances one tensor should hold
         # (dense stacks stay cache-resident); blocks run their whole
         # amplification loop back to back, results unaffected.
-        limit = resolve_stacked_backend(backend_name, model).group_size_limit(
-            [instances[i] for i in indices]
-        )
+        limit = backend_cls.group_size_limit([instances[i] for i in indices])
         step = len(indices) if limit is None else max(1, limit)
         for start in range(0, len(indices), step):
             block = indices[start : start + step]
@@ -557,7 +542,7 @@ def execute_group_local(
     model: str = "sequential",
     include_probabilities: bool = False,
     skip_zero_capacity: bool = False,
-    backend: str = BATCH_BACKEND,
+    backend: str = CLASS_SUBSTRATE,
     request_ids: Sequence[object] | None = None,
 ) -> list[SamplingResult]:
     """Execute one *pre-packed* schedule-shape group (the shard-local entry).

@@ -1,9 +1,9 @@
 """Stacked dense subspace states: ``B`` instances as one ``(B, N, 2)`` tensor.
 
-The ``classes`` compression made batching *possible at any scale*; this
-module makes batching *fast where dense is already fast*.  For small and
-medium ``N`` — the regime where Theorem 4.3/4.5's subspace simulation is
-exact and cheap — the per-instance
+The ``classes`` compression batches at any scale and is what ``"auto"``
+resolves to; this module stacks the dense layouts as the bit-exact
+*references* the equivalence suites check against, reachable only by
+explicit backend name.  For small and medium ``N`` the per-instance
 :class:`~repro.core.backends.SubspaceBackend` runs each Eq. (5) rotation
 as a handful of ``O(N)`` NumPy kernels, and ``B`` such instances stack
 into one logical ``(B, C, 2)`` complex tensor with ``C = max_b N_b``.
@@ -50,10 +50,10 @@ any instance's dynamics, exactly like the padded classes of
 :class:`~repro.batch.stacked.StackedClassVector`.
 
 Memory is ``B × 2C`` complex cells (plus scratch and two ``B × C``
-float rotation tables), which is why the planner's auto rules only
-route here while the per-instance dense dimension ``2N`` fits
-``max_dense_dimension`` — the stacked tensor then stays under
-``max_dense_dimension × B`` cells.
+float rotation tables); construction applies the per-instance
+``max_dense_dimension`` guard to ``2C``, so an explicit dense stack
+fails with :class:`~repro.errors.SimulationLimitError` instead of
+attempting a massive allocation.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ class StackedSubspaceVector:
         batch = len(counts)
         width = max(counts)
         # The guard the per-instance dense path applies per layout: the
-        # stacked tensor commits B such layouts, capped per instance so
-        # total memory stays under max_dense_dimension × B cells.
+        # stacked tensor commits B such layouts, each capped.
         CONFIG.require_dense_dimension(2 * width)
         self._sizes = np.asarray(counts, dtype=np.int64)
         # |π⟩ per instance (real-valued complex), its conjugates, and the

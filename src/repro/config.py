@@ -51,25 +51,18 @@ class NumericsConfig:
         :class:`~contextvars.ContextVar`, so the setting is scoped to the
         current thread/task and safe under concurrent sweeps.
     max_dense_dimension:
-        Guard rail for dense register simulations; exceeding it raises
+        Construction guard for dense register simulations (per instance
+        and per stacked-dense row); exceeding it raises
         :class:`~repro.errors.SimulationLimitError` rather than attempting
-        a massive allocation.  The ``classes`` backend
-        (:class:`~repro.qsim.classvector.ClassVector`) is exempt — its
-        state is ``O(ν)`` regardless of ``N``.  Also the default
-        per-instance cap for dense *stacking*: the planner routes a
-        batch to the ``(B, N, 2)`` stacked subspace backend only while
-        ``2N`` fits, so stacked memory stays under
-        ``max_dense_dimension × B`` cells (overridable per run via
-        ``SamplingRequest.max_dense_dimension``).
+        a massive allocation.  Routing never consults it: ``"auto"``
+        resolves to the ``classes`` backend
+        (:class:`~repro.qsim.classvector.ClassVector`), whose state is
+        ``O(ν)`` regardless of ``N``, so the dense layouts run only when
+        named explicitly.
     stack_threshold:
         Minimum homogeneous group size at which the planner routes to a
         stacked batch engine (below it, per-batch Python overhead beats
         the tensor-stacking win — see bench_e23's throughput plateau).
-    classes_universe_threshold:
-        Universe size at which backend auto-selection switches from the
-        dense representations to the ``O(ν)``-memory ``classes``
-        compression (the dense layouts' wall time crosses ``classes``
-        well before this; see benchmarks/_results/E22.json).
     shard_arena_bytes:
         Per-worker shared-memory arena capacity of the sharded serving
         tier (:class:`repro.serve.shard.ShardedSamplerService`).  Sized
@@ -78,7 +71,7 @@ class NumericsConfig:
         ``shm_fallback_batches`` in the tier telemetry.
     ragged_fill_threshold:
         Heterogeneity routing knob for the batched engine and the
-        serving tiers.  When positive, a ``classes``-bound batch whose
+        serving tiers.  When positive, an ``auto`` batch whose
         padded fill ratio ``Σ(νᵢ+1) / (B·max(νᵢ+1))`` would fall below
         this threshold (and that actually mixes schedule shapes or ν
         widths) is rerouted to the CSR-packed ``ragged`` substrate
@@ -94,7 +87,6 @@ class NumericsConfig:
     fidelity_atol: float = 1e-9
     max_dense_dimension: int = 2**24
     stack_threshold: int = 64
-    classes_universe_threshold: int = 10**5
     shard_arena_bytes: int = 1 << 24
     ragged_fill_threshold: float = 0.0
 

@@ -56,6 +56,9 @@ def fidelity_with_target_classes(db: DistributedDatabase, state) -> float:
     In class coordinates ``⟨ψ, 0|state⟩ = Σ_c N_c √(c/M) α[c, 0]`` — the
     target amplitude ``√(c_i/M)`` is itself a function of the count class,
     so the overlap contracts in ``O(ν)`` without expanding the state.
+    The modulus is taken with the array ``np.abs`` the stacked class
+    kernels use (the scalar ``abs`` rounds differently), so per-instance
+    and stacked fidelities are bit-identical.
     """
     total = db.total_count
     if total <= 0:
@@ -63,6 +66,7 @@ def fidelity_with_target_classes(db: DistributedDatabase, state) -> float:
     class_values = np.arange(state.n_classes, dtype=np.float64)
     target_per_class = np.sqrt(class_values / total)
     overlap = np.sum(
-        state.class_sizes * target_per_class * state.class_amplitudes()[:, 0]
+        state.class_sizes * target_per_class * state.class_amplitudes()[:, 0],
+        keepdims=True,
     )
-    return float(abs(overlap) ** 2)
+    return float((np.abs(overlap) ** 2)[0])

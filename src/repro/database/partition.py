@@ -25,13 +25,22 @@ PartitionFn = Callable[..., DistributedDatabase]
 def round_robin(dataset: Multiset, n_machines: int, nu: int | None = None) -> DistributedDatabase:
     """Deal elements one at a time to machines in rotation.
 
-    Deterministic and balanced: ``|M_j − M/n| ≤ 1``.
+    Deterministic and balanced: ``|M_j − M/n| ≤ 1``.  The deal is
+    vectorized: the dataset's elements in sorted order with repetition
+    (the order :class:`Multiset` iterates in) are split by position
+    modulo ``n``, and each machine's stride is counted in one
+    ``bincount``.
     """
     n_machines = require_pos_int(n_machines, "n_machines")
-    shards = [Multiset.empty(dataset.universe) for _ in range(n_machines)]
-    for position, element in enumerate(dataset):
-        shards[position % n_machines].add(element)
-    return DistributedDatabase.from_shards(shards, nu=nu)
+    universe = dataset.universe
+    elements = np.repeat(np.arange(universe, dtype=np.int64), dataset.counts)
+    counts = np.stack(
+        [
+            np.bincount(elements[j::n_machines], minlength=universe)
+            for j in range(n_machines)
+        ]
+    )
+    return DistributedDatabase.from_count_matrix(counts, nu=nu)
 
 
 def random_assignment(

@@ -242,14 +242,20 @@ class ClassVector:
 
         ``⟨π, 0|ψ⟩ = Σ_c N_c α[c,0] / √N`` and the rank-one update adds
         the same correction ``(e^{iϕ}−1)·⟨π,0|ψ⟩/√N`` to every class's
-        flag-0 amplitude.
+        flag-0 amplitude.  The scalars ride in length-1 arrays: NumPy's
+        array complex multiply rounds differently from its scalar one,
+        and the stacked class kernels use the array form, so this keeps
+        per-instance and stacked rows bit-identical.
         """
         if abs(abs(phase) - 1.0) > CONFIG.atol:
             raise NotUnitaryError(f"phase must have unit modulus, got |{phase}| = {abs(phase)}")
         require(element_reg == "i" and flag_reg == "w", "ClassVector registers are (i, w)")
-        inv_sqrt_n = 1.0 / np.sqrt(self.n_elements)
-        pi_overlap = inv_sqrt_n * np.sum(self._class_sizes * self._amps[:, 0])
-        self._amps[:, 0] += (phase - 1.0) * pi_overlap * inv_sqrt_n
+        inv_sqrt_n = 1.0 / np.sqrt(np.array([self.n_elements], dtype=np.float64))
+        pi_overlap = inv_sqrt_n * np.sum(
+            self._class_sizes * self._amps[:, 0], keepdims=True
+        )
+        correction = (np.array([phase], dtype=np.complex128) - 1.0) * pi_overlap * inv_sqrt_n
+        self._amps[:, 0] += correction
         return self._after_unitary()
 
     def apply_global_phase(self, phase: complex) -> "ClassVector":

@@ -10,7 +10,7 @@ a continuously-fed serving loop on top of the stacked ``classes`` engine:
   :class:`ServedRequest` future back immediately;
 * **pack** — a dispatcher thread materializes each request, solves its
   (memoized) amplification plan, resolves its stacked substrate
-  (``backend="auto"`` picks per request by universe size) and re-packs
+  (``backend="auto"`` runs ``classes``) and re-packs
   in-flight requests into backend × schedule-shape groups
   (:class:`~repro.serve.packer.ShapePacker`), flushing groups when full
   *or* when their oldest request hits the flush deadline — so the
@@ -47,11 +47,7 @@ import time
 from typing import Callable, Iterator
 
 from ..analysis.sweep import InstanceSpec
-from ..batch.backends import (
-    AUTO_STACKED_BACKEND,
-    auto_stacked_backend,
-    resolve_stacked_backend,
-)
+from ..batch.backends import AUTO_STACKED_BACKEND, resolve_stacked_name
 from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, audit_row, default_row
 from ..batch.engine import ClassInstance, cached_plan, execute_class_batch
 from ..config import CONFIG
@@ -260,23 +256,14 @@ class SamplerService:
         (default — the ``O(ν)`` compression, any scale), ``"ragged"``
         (the CSR class packing: mixed-``ν``, mixed-schedule traffic
         pools into **one** group per flush instead of one group per
-        shape), ``"subspace"`` / ``"synced"`` (the ``(B, N, 2)`` dense
-        tensors for small/medium-``N`` sequential / parallel traffic),
-        or ``"auto"`` to resolve per request by universe size
-        (:func:`~repro.batch.backends.auto_stacked_backend`); when
+        shape), ``"auto"`` (``classes``; when
         :attr:`repro.config.NumericsConfig.ragged_fill_threshold` is
-        positive, auto traffic that resolves to ``classes`` pools into
-        the ragged group as well.  The packer keys groups by resolved
-        backend, so a mixed-``N`` auto stream packs dense and
-        compressed batches side by side.  Live snapshots run on the
-        class substrates — an explicit ``"subspace"``/``"synced"``
-        service therefore rejects :meth:`submit_live` (the front-door
-        planner raises the matching :class:`PlanningError`).
-    max_dense_dimension:
-        Per-service override of the dense-stacking memory cap the
-        ``"auto"`` resolution applies (defaults to
-        :attr:`repro.config.NumericsConfig.max_dense_dimension`) — the
-        serving twin of ``SamplingRequest.max_dense_dimension``.
+        positive, auto traffic pools into the ragged group instead), or
+        the explicit ``(B, N, 2)`` dense references ``"subspace"`` /
+        ``"synced"``.  Live snapshots run on the class substrates — an
+        explicit ``"subspace"``/``"synced"`` service therefore rejects
+        :meth:`submit_live` (the front-door planner raises the matching
+        :class:`PlanningError`).
 
     Use as a context manager: leaving the ``with`` block drains and
     closes the service.
@@ -294,7 +281,6 @@ class SamplerService:
         clock: Callable[[], float] = time.monotonic,
         capacity: str = "all",
         backend: str = "classes",
-        max_dense_dimension: int | None = None,
     ) -> None:
         # Model and capacity policy are the front-door planner's rules;
         # imported at call time so this lower layer carries no load-time
@@ -303,16 +289,9 @@ class SamplerService:
 
         self._model = require_model(model)
         self._skip_zero_capacity = skip_zero_capacity_for(capacity)
-        if backend != AUTO_STACKED_BACKEND:
-            # Fail fast at construction, not on the dispatcher thread.
-            resolve_stacked_backend(backend, self._model)
-        if max_dense_dimension is not None and max_dense_dimension <= 0:
-            raise ValidationError(
-                "max_dense_dimension must be a positive dimension cap, got "
-                f"{max_dense_dimension}"
-            )
+        # Fail fast at construction, not on the dispatcher thread.
+        self._substrate = resolve_stacked_name(backend, self._model)
         self._backend = backend
-        self._max_dense_dimension = max_dense_dimension
         self._include_probabilities = include_probabilities
         self._row_fn = row_fn
         self._clock = clock
@@ -553,19 +532,15 @@ class SamplerService:
     def _prepare_and_pack(self, request: ServedRequest) -> None:
         """Materialize the request; queue it under (backend, schedule shape).
 
-        Live snapshots run a class substrate (``ragged`` on a ragged
-        service, ``classes`` otherwise); ``backend="auto"`` resolves
-        spec requests per universe size, so a mixed-``N`` stream packs
-        dense and compressed groups side by side without ever mixing
-        representations in one tensor.  Class-substrate traffic pools
-        into the single shape-free ragged group when the service is
-        pinned to ``"ragged"`` or the live
+        Every request of a service runs its one class or dense
+        substrate (``"auto"`` is ``classes``).  Class-substrate traffic
+        pools into the single shape-free ragged group when the service
+        is pinned to ``"ragged"`` or, on ``"auto"``, the live
         :attr:`~repro.config.NumericsConfig.ragged_fill_threshold` is
         positive — mixed shapes then fill one tensor instead of
         fragmenting across per-shape groups.
         """
         try:
-            live = request.spec is None
             with span("build", parent=request.trace_ctx, label=request.label):
                 if request._instance is None:
                     assert request.spec is not None
@@ -574,29 +549,16 @@ class SamplerService:
                         request.db = apply_fault_mask(request.db, request.fault_mask)
                     request._instance = ClassInstance.from_db(request.db)
                 plan = cached_plan(request._instance.overlap())
-            if live:
-                backend = "ragged" if self._backend == "ragged" else "classes"
-            elif self._backend == AUTO_STACKED_BACKEND:
-                backend = auto_stacked_backend(
-                    self._model,
-                    request._instance.universe,
-                    max_dense_dimension=self._max_dense_dimension,
-                )
-            else:
-                backend = self._backend
-            if (
-                backend == "classes"
-                and self._backend == AUTO_STACKED_BACKEND
-                and CONFIG.ragged_fill_threshold > 0
-            ):
-                # Mirrors the engine's auto-only reroute: an explicit
-                # "classes" pin keeps its label and per-shape groups.
-                backend = "ragged"
         except BaseException as error:  # bad spec/plan: fail just this request
             request._fail(error)
             _finish_trace(request, error)
             self._stats.record_failure()
             return
+        backend = self._substrate
+        if self._backend == AUTO_STACKED_BACKEND and CONFIG.ragged_fill_threshold > 0:
+            # Mirrors the engine's auto-only reroute: an explicit
+            # "classes" pin keeps its label and per-shape groups.
+            backend = "ragged"
         request._backend = backend
         if backend == "ragged":
             # Mixed schedule shapes execute together under the masked

@@ -71,7 +71,7 @@ from multiprocessing import connection, shared_memory
 from typing import Callable, Iterator
 
 from ..analysis.sweep import InstanceSpec
-from ..batch.backends import AUTO_STACKED_BACKEND, auto_stacked_backend, resolve_stacked_backend
+from ..batch.backends import AUTO_STACKED_BACKEND, resolve_stacked_name
 from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, default_row
 from ..batch.engine import (
     ClassInstance,
@@ -193,21 +193,7 @@ def _worker_prepare(work: _Work, config: dict) -> tuple:
         if build_span is not None:
             tracer.finish(build_span)
     plan = cached_plan(work.instance.overlap())
-    if work.spec is None:
-        # Live snapshots' substrate: class-compressed, ragged on a
-        # ragged service.
-        backend = "ragged" if config["backend"] == "ragged" else "classes"
-    elif config["backend"] == AUTO_STACKED_BACKEND:
-        backend = auto_stacked_backend(
-            config["model"],
-            work.instance.universe,
-            max_dense_dimension=config["max_dense_dimension"],
-        )
-    else:
-        backend = config["backend"]
-    if backend == "classes" and config.get("ragged_pooling"):
-        backend = "ragged"
-    work.backend = backend
+    backend = work.backend = config["substrate"]
     if backend == "ragged":
         # One shape-free pooled group: mixed schedules run the masked loop.
         return ("ragged", None, None)
@@ -421,7 +407,6 @@ class ShardedSamplerService:
         row_fn: RowFn = default_row,
         capacity: str = "all",
         backend: str = "classes",
-        max_dense_dimension: int | None = None,
         arena_bytes: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -430,13 +415,12 @@ class ShardedSamplerService:
         require_pos_int(shards, "shards")
         self._model = require_model(model)
         skip = skip_zero_capacity_for(capacity)
-        if backend != AUTO_STACKED_BACKEND:
-            resolve_stacked_backend(backend, self._model)
-        if max_dense_dimension is not None and max_dense_dimension <= 0:
-            raise ValidationError(
-                "max_dense_dimension must be a positive dimension cap, got "
-                f"{max_dense_dimension}"
-            )
+        substrate = resolve_stacked_name(backend, self._model)
+        if backend == AUTO_STACKED_BACKEND and CONFIG.ragged_fill_threshold > 0:
+            # Captured at construction (workers fork with it): on "auto",
+            # the live config's ragged_fill_threshold pools class traffic
+            # into shape-free ragged groups, as a "ragged" pin does.
+            substrate = "ragged"
         self._backend = backend
         self._row_fn = row_fn
         self._clock = clock
@@ -448,17 +432,8 @@ class ShardedSamplerService:
             "flush_deadline": float(flush_deadline),
             "include_probabilities": include_probabilities,
             "skip_zero_capacity": skip,
-            "backend": backend,
-            "max_dense_dimension": max_dense_dimension,
-            # Captured at construction (workers fork with it): pool class
-            # traffic into shape-free ragged groups when the service is
-            # pinned to "ragged", or on "auto" when the live config's
-            # ragged_fill_threshold opts heterogeneous packing in.
-            "ragged_pooling": backend == "ragged"
-            or (
-                backend == AUTO_STACKED_BACKEND
-                and CONFIG.ragged_fill_threshold > 0
-            ),
+            # The concrete substrate every request runs ("auto" is classes).
+            "substrate": substrate,
             "row_fn": row_fn,
             "arena_bytes": (
                 CONFIG.shard_arena_bytes if arena_bytes is None else arena_bytes
@@ -599,7 +574,7 @@ class ShardedSamplerService:
                 request.label,
                 self._backend,
                 request.fault_mask,
-                pooled=self._would_pool(request),
+                pooled=self._config["substrate"] == "ragged",
             ),
             self._n_shards,
         )
@@ -624,30 +599,6 @@ class ShardedSamplerService:
             shard.send(message)
         self.recorder.record(
             "route", index=request.index, shard=shard_id, retries=retries
-        )
-
-    def _would_pool(self, request: ServedRequest) -> bool:
-        """Whether this request lands in the shape-free ragged pool.
-
-        Mirrors the worker's substrate resolution without building
-        anything: the spec's declared universe decides the auto route
-        (unknown-universe recipes pool conservatively — the worker still
-        resolves them correctly; only the shard choice is heuristic).
-        """
-        if not self._config["ragged_pooling"]:
-            return False
-        if self._backend == "ragged" or request.spec is None:
-            return True
-        universe = dict(request.spec.workload.params).get("universe")
-        if universe is None:
-            return True
-        return (
-            auto_stacked_backend(
-                self._model,
-                int(universe),  # type: ignore[call-overload]
-                max_dense_dimension=self._config["max_dense_dimension"],
-            )
-            == "classes"
         )
 
     # -- results & telemetry ------------------------------------------------------

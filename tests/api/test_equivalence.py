@@ -175,25 +175,6 @@ class TestServedStrategy:
         results = serve(iter(()))
         assert len(results) == 0 and results.telemetry is None
 
-    def test_served_requests_honor_max_dense_dimension(self):
-        """serve() must apply the request's dense cap exactly like
-        repro.sample does — auto falls back to classes when 2N > cap."""
-        request = SamplingRequest(
-            spec=spec_of(), include_probabilities=False, max_dense_dimension=8
-        )
-        results = serve([request], rng=0)
-        assert results[0].backend == "classes"
-
-    def test_served_streams_homogeneous_in_dense_cap(self):
-        from repro.errors import PlanningError
-
-        capped = SamplingRequest(
-            spec=spec_of(), include_probabilities=False, max_dense_dimension=8
-        )
-        uncapped = SamplingRequest(spec=spec_of(), include_probabilities=False)
-        with pytest.raises(PlanningError, match="max_dense_dimension"):
-            serve([capped, uncapped], rng=0)
-
     def test_sharded_serve_matches_unsharded(self):
         """``shards=`` on the front door routes to the sharded tier and
         reproduces the single-process service at 1e-12."""

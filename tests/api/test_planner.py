@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import InstanceSpec
 from repro.api import (
-    CLASSES_UNIVERSE_THRESHOLD,
     STACK_THRESHOLD,
     Planner,
     SamplingRequest,
@@ -31,24 +30,20 @@ def planner():
 
 
 class TestAutoBackend:
-    """The acceptance bar: classes chosen for N ≥ 10⁵, dense below."""
+    """The acceptance bar: auto resolves to classes at every N
+    (the full model × N grid lives in test_auto_routing.py)."""
 
     def test_classes_at_scale(self, planner):
-        assert planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD) == "classes"
-        assert planner.auto_backend("parallel", 10**6) == "classes"
-
-    def test_dense_fast_path_below_threshold(self, planner):
-        assert planner.auto_backend("sequential", 64) == "subspace"
-        assert planner.auto_backend("parallel", 64) == "synced"
-        assert (
-            planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD - 1)
-            == "subspace"
-        )
+        assert planner.auto_backend("sequential") == "classes"
+        assert planner.auto_backend("parallel") == "classes"
+        assert planner.plan(spec_request(universe=10**6)).backends() == ("classes",)
 
     def test_plan_resolves_auto_by_universe(self, planner):
+        """The universe no longer moves the choice: small and large N
+        resolve to the same O(ν) substrate."""
         small = planner.plan(spec_request(universe=64))
         large = planner.plan(spec_request(universe=10**5))
-        assert small.backends() == ("subspace",)
+        assert small.backends() == ("classes",)
         assert large.backends() == ("classes",)
 
     def test_explicit_backend_respected(self, planner):
@@ -75,18 +70,10 @@ class TestAutoBackend:
 
 class TestAutoStrategy:
     """The acceptance bar: stacked engine chosen for homogeneous B ≥ 64,
-    with the stacked substrate picked by universe size."""
+    on the classes substrate."""
 
     def test_single_request_runs_per_instance(self, planner):
         assert planner.plan(spec_request()).strategies() == ("instance",)
-
-    def test_homogeneous_small_n_group_stacks_dense(self, planner):
-        """The stacked-dense branch: a homogeneous small-N sequential
-        group of B ≥ threshold routes to the (B, N, 2) subspace stack."""
-        plan = planner.plan_many([spec_request() for _ in range(STACK_THRESHOLD)])
-        assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"subspace"}
-        assert len(plan.groups) == 1 and plan.groups[0].strategy == "stacked"
 
     def test_homogeneous_large_n_group_stacks_classes(self, planner):
         plan = planner.plan_many(
@@ -95,33 +82,13 @@ class TestAutoStrategy:
         assert set(plan.strategies()) == {"stacked"}
         assert set(plan.backends()) == {"classes"}
 
-    def test_parallel_groups_stack_on_synced(self, planner):
-        """Parallel dense-eligible groups ride the (B, N, 2) synced stack."""
-        plan = planner.plan_many(
-            [spec_request(model="parallel") for _ in range(STACK_THRESHOLD)]
-        )
-        assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"synced"}
-
-    def test_max_dense_dimension_override_forces_classes(self, planner):
-        """The per-request cap: 2N over the override → the dense stack
-        (and the dense per-instance fast path) are off the table."""
-        capped = [
-            spec_request(max_dense_dimension=64)
-            for _ in range(STACK_THRESHOLD)
-        ]
-        plan = planner.plan_many(capped)
-        assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"classes"}
-        single = planner.plan(spec_request(max_dense_dimension=64))
-        assert single.backends() == ("classes",)
-
-    def test_mixed_universes_split_stacked_groups_by_backend(self, planner):
+    def test_mixed_universes_share_one_stacked_group(self, planner):
+        """One substrate at every N: a mixed-universe batch is one group."""
         small = [spec_request(batchable=True) for _ in range(2)]
         large = [spec_request(universe=10**5, batchable=True) for _ in range(2)]
         plan = planner.plan_many(small + large)
-        assert plan.backends() == ("subspace", "subspace", "classes", "classes")
-        assert len(plan.groups) == 2
+        assert plan.backends() == ("classes",) * 4
+        assert len(plan.groups) == 1
 
     def test_below_threshold_runs_per_instance(self, planner):
         plan = planner.plan_many([spec_request() for _ in range(STACK_THRESHOLD - 1)])
@@ -135,7 +102,7 @@ class TestAutoStrategy:
         """A sibling's hint must not reroute hint-less requests."""
         plan = planner.plan_many([spec_request(), spec_request(batchable=True)])
         assert plan.strategies() == ("instance", "stacked")
-        assert plan.backends() == ("subspace", "subspace")
+        assert plan.backends() == ("classes", "classes")
 
     def test_batchable_false_pins_to_instance(self, planner):
         plan = planner.plan_many(
@@ -200,21 +167,18 @@ class TestAutoStrategy:
         assert set(plan.strategies()) == {"instance"}
 
     def test_custom_thresholds(self):
-        planner = Planner(stack_threshold=2, classes_universe_threshold=32)
+        planner = Planner(stack_threshold=2)
         plan = planner.plan_many([spec_request()] * 2)
         assert set(plan.strategies()) == {"stacked"}
-        assert planner.auto_backend("sequential", 32) == "classes"
+        with pytest.raises(PlanningError, match="stack_threshold"):
+            Planner(stack_threshold=0)
 
     def test_thresholds_come_from_config(self):
-        """One definition: the planner's defaults are the config fields."""
+        """One definition: the planner's default is the config field."""
         from repro.config import CONFIG
 
         assert Planner().stack_threshold == CONFIG.stack_threshold
-        assert Planner().classes_universe_threshold == (
-            CONFIG.classes_universe_threshold
-        )
         assert STACK_THRESHOLD == CONFIG.stack_threshold
-        assert CLASSES_UNIVERSE_THRESHOLD == CONFIG.classes_universe_threshold
 
     def test_config_override_reaches_new_planners(self):
         from repro.config import CONFIG
@@ -232,8 +196,8 @@ class TestForcedStrategy:
     def test_forced_stacked(self, planner):
         plan = planner.plan(spec_request(), strategy="stacked")
         assert plan.strategies() == ("stacked",)
-        # auto resolution still applies: small-N sequential → dense stack.
-        assert plan.backends() == ("subspace",)
+        # auto resolution still applies: classes at every N.
+        assert plan.backends() == ("classes",)
         large = planner.plan(spec_request(universe=10**5), strategy="stacked")
         assert large.backends() == ("classes",)
 

@@ -50,16 +50,6 @@ class TestPolicyValidation:
         with pytest.raises(RequestError, match="backend"):
             SamplingRequest(spec=spec_of(), backend="")
 
-    def test_nonpositive_max_dense_dimension_rejected(self):
-        for bad in (0, -1, -2**20):
-            with pytest.raises(RequestError, match="max_dense_dimension"):
-                SamplingRequest(spec=spec_of(), max_dense_dimension=bad)
-
-    def test_max_dense_dimension_accepts_positive_and_default(self):
-        assert SamplingRequest(spec=spec_of()).max_dense_dimension is None
-        request = SamplingRequest(spec=spec_of(), max_dense_dimension=128)
-        assert request.max_dense_dimension == 128
-
     def test_nonpositive_shards_rejected(self):
         for bad in (0, -1, -8):
             with pytest.raises(RequestError, match="shards"):

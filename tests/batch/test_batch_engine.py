@@ -70,6 +70,46 @@ def test_randomized_grid_equivalence(model, batch_size, seed):
         )
 
 
+@pytest.mark.parametrize("model", ["sequential", "parallel"])
+@pytest.mark.parametrize("capacity", ["all", "skip_empty"])
+def test_per_instance_classes_bit_identical_to_stacked_kernels(model, capacity):
+    """Per-instance ``classes`` runs and the stacked class kernels do the
+    same arithmetic in the same order, so their rows agree with ``==`` —
+    against a B=1 stack on either class substrate and against a mixed-ν
+    ragged batch."""
+    rng = as_generator(4242 if model == "sequential" else 4343)
+    skip = capacity == "skip_empty"
+    dbs = []
+    for _ in range(12):
+        db = random_database(rng)
+        counts = db.count_matrix.copy()
+        if db.n_machines > 1 and counts[:-1].sum() > 0:
+            counts[-1] = 0  # a provably empty machine for skip_empty to drop
+        dbs.append(DistributedDatabase.from_count_matrix(counts, nu=db.nu))
+    sampler = SequentialSampler if model == "sequential" else ParallelSampler
+    ragged = execute_sampling_batch(
+        dbs, model=model, backend="ragged", skip_zero_capacity=skip
+    )
+    for db, mixed in zip(dbs, ragged):
+        reference = sampler(db, backend="classes", skip_zero_capacity=skip).run()
+        [single] = execute_sampling_batch(
+            [db], model=model, backend="classes", skip_zero_capacity=skip
+        )
+        [single_ragged] = execute_sampling_batch(
+            [db], model=model, backend="ragged", skip_zero_capacity=skip
+        )
+        for result in (single, single_ragged, mixed):
+            assert result.fidelity == reference.fidelity
+            assert np.array_equal(
+                result.final_state.class_amplitudes(),
+                reference.final_state.class_amplitudes(),
+            )
+            assert np.array_equal(
+                result.output_probabilities, reference.output_probabilities
+            )
+            assert result.ledger.per_machine() == reference.ledger.per_machine()
+
+
 class TestGrouping:
     def test_mixed_schedule_shapes_preserve_input_order(self):
         # Overlaps far apart → different grover_reps → multiple groups.

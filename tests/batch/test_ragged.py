@@ -114,7 +114,7 @@ class TestBitIdentity:
         """With the threshold armed, an auto mixed-ν batch goes ragged;
         with it at 0 (the default) auto keeps the per-shape classes path.
         Rows must agree bit for bit either way."""
-        counts = np.zeros((2, CONFIG.classes_universe_threshold), dtype=np.int64)
+        counts = np.zeros((2, 64), dtype=np.int64)
         dbs = []
         for b, nu in enumerate((2, 8, 3, 6)):
             wide = counts.copy()

@@ -11,7 +11,6 @@ import pytest
 
 from repro.batch import (
     StackedSubspaceVector,
-    auto_stacked_backend,
     execute_sampling_batch,
     stacked_backend_names,
 )
@@ -147,40 +146,6 @@ class TestSyncedBitIdentity:
 
 
 class TestAutoResolution:
-    def test_auto_picks_subspace_below_threshold(self):
-        assert auto_stacked_backend("sequential", 64) == "subspace"
-        assert auto_stacked_backend("sequential", CONFIG.classes_universe_threshold) == (
-            "classes"
-        )
-        assert auto_stacked_backend("parallel", 64) == "synced"
-        assert auto_stacked_backend("parallel", CONFIG.classes_universe_threshold) == (
-            "classes"
-        )
-
-    def test_auto_respects_dense_cap_override(self):
-        assert auto_stacked_backend("sequential", 64, max_dense_dimension=64) == (
-            "classes"
-        )
-        assert auto_stacked_backend("sequential", 32, max_dense_dimension=64) == (
-            "subspace"
-        )
-
-    def test_auto_batch_splits_by_backend(self):
-        rng = as_generator(11)
-        small = random_database(rng, universe=32)
-        counts = np.zeros((2, CONFIG.classes_universe_threshold), dtype=np.int64)
-        counts[0, :8] = 2
-        counts[1, :8] = 2
-        large = DistributedDatabase.from_count_matrix(counts, nu=8)
-        results = execute_sampling_batch(
-            [small, large, small],
-            model="sequential",
-            backend="auto",
-            include_probabilities=False,
-        )
-        assert [r.backend for r in results] == ["subspace", "classes", "subspace"]
-        assert all(r.exact for r in results)
-
     def test_registry_names(self):
         assert "subspace" in stacked_backend_names("sequential")
         assert stacked_backend_names("parallel") == ("classes", "ragged", "synced")
@@ -210,7 +175,7 @@ class TestMemoryGuard:
         try:
             with pytest.raises(SimulationLimitError):
                 execute_sampling_batch([db], model="sequential", backend="subspace")
-            # auto falls back to classes instead of raising.
+            # auto runs classes, which the dense cap never touches.
             [result] = execute_sampling_batch([db], model="sequential", backend="auto")
             assert result.backend == "classes"
         finally:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database import (
+    DistributedDatabase,
     Multiset,
     concentrate_on_machine,
     disjoint_support,
@@ -41,6 +44,33 @@ class TestRoundRobin:
         a = round_robin(dataset, 3)
         b = round_robin(dataset, 3)
         np.testing.assert_array_equal(a.count_matrix, b.count_matrix)
+
+
+def dealt_one_at_a_time(dataset, n_machines, nu=None):
+    """The reference deal: one ``Multiset.add`` per element, in rotation."""
+    shards = [Multiset.empty(dataset.universe) for _ in range(n_machines)]
+    for position, element in enumerate(dataset):
+        shards[position % n_machines].add(element)
+    return DistributedDatabase.from_shards(shards, nu=nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40),
+    n_machines=st.integers(min_value=1, max_value=6),
+    nu_slack=st.none() | st.integers(min_value=0, max_value=3),
+)
+def test_round_robin_matches_one_at_a_time_deal(counts, n_machines, nu_slack):
+    """The vectorized deal is byte-identical to the per-element loop:
+    count matrix, ν and capacities."""
+    dataset = Multiset(len(counts), np.array(counts, dtype=np.int64))
+    nu = None if nu_slack is None else max(1, max(counts)) + nu_slack
+    fast = round_robin(dataset, n_machines, nu=nu)
+    slow = dealt_one_at_a_time(dataset, n_machines, nu=nu)
+    assert fast.count_matrix.tobytes() == slow.count_matrix.tobytes()
+    assert fast.count_matrix.dtype == slow.count_matrix.dtype
+    assert fast.nu == slow.nu
+    assert fast.capacities == slow.capacities
 
 
 class TestRandomAssignment:

@@ -76,6 +76,26 @@ class TestStrategyTraces:
         assert summary["build"]["count"] == 3
         assert summary["request"]["max_s"] >= summary["request"]["p50_s"] >= 0
 
+    def test_summary_counts_each_span_once(self):
+        """A batch-level span rides every request's trace but is one
+        span: the summary counts one ``execute`` per stacked chunk, and
+        no phase that runs serially inside the call can total more than
+        the call's own wall time.  (The per-request ``request`` roots
+        overlap — each spans the whole call — so they are exempt.)"""
+        import time
+
+        enable_tracing()
+        start = time.perf_counter()
+        results = repro.sample_many(_requests(64), rng=5, batch_size=16)
+        wall = time.perf_counter() - start
+        assert set(results.strategies()) == {"stacked"}
+        summary = results.trace_summary()
+        assert summary["execute"]["count"] == 64 // 16
+        assert summary["build"]["count"] == 64
+        for name, stats in summary.items():
+            if name != "request":
+                assert stats["total_s"] <= wall, name
+
     def test_fanout_traces_cross_processes(self):
         enable_tracing()
         results = repro.sample_many(_requests(4), rng=11, strategy="fanout", jobs=2)

@@ -207,13 +207,13 @@ class TestStackedDenseServing:
         assert all(row["backend"] == "subspace" for row in rows)
 
     def test_auto_backend_resolves_per_request_universe(self):
-        """A mixed-N auto stream packs dense and compressed batches side
-        by side — the packer key carries the resolved backend."""
-        small = spec_of(24, tag="small")  # universe 64 → subspace
+        """A mixed-N auto stream runs every universe on classes — the
+        universe no longer moves the packer's backend key."""
+        small = spec_of(24, tag="small")  # universe 64
         large = InstanceSpec(
             workload=WorkloadSpec.of("zipf", universe=10**5, total=64),
             n_machines=2,
-            tag="large",  # universe ≥ threshold → classes
+            tag="large",
         )
         with SamplerService(
             rng=3, batch_size=8, flush_deadline=0.01, backend="auto"
@@ -223,7 +223,7 @@ class TestStackedDenseServing:
                 "large": service.submit(large),
             }
             results = {k: f.result(timeout=WAIT) for k, f in futures.items()}
-        assert results["small"].backend == "subspace"
+        assert results["small"].backend == "classes"
         assert results["large"].backend == "classes"
         assert all(r.exact for r in results.values())
 
@@ -237,7 +237,7 @@ class TestStackedDenseServing:
             live = service.submit_live(stream).result(timeout=WAIT)
             spec = service.submit(spec_of(24)).result(timeout=WAIT)
         assert live.backend == "classes"  # snapshots are count-class views
-        assert spec.backend == "subspace"
+        assert spec.backend == "classes"
         assert live.exact and spec.exact
 
     def test_unknown_backend_rejected_at_construction(self):
@@ -245,21 +245,6 @@ class TestStackedDenseServing:
             SamplerService(backend="oracles")
         with pytest.raises(Exception, match="unknown stacked backend"):
             SamplerService(model="parallel", backend="subspace")
-
-    def test_max_dense_dimension_caps_auto_onto_classes(self):
-        """The serving twin of SamplingRequest.max_dense_dimension: a cap
-        below 2N must push auto resolution back to classes."""
-        with SamplerService(
-            rng=0, batch_size=2, flush_deadline=0.01,
-            backend="auto", max_dense_dimension=8,
-        ) as service:
-            result = service.submit(spec_of(24)).result(timeout=WAIT)
-        assert result.backend == "classes"  # universe 64, 2N = 128 > 8
-        assert result.exact
-
-    def test_nonpositive_max_dense_dimension_rejected(self):
-        with pytest.raises(Exception, match="max_dense_dimension"):
-            SamplerService(max_dense_dimension=0)
 
     def test_explicit_dense_service_rejects_live_requests(self):
         """Mirror of the front-door planner: a stream snapshot cannot run
@@ -334,10 +319,9 @@ class TestRaggedServing:
     def test_auto_service_pools_onto_ragged_when_threshold_armed(self):
         from repro.config import CONFIG
 
-        universe = CONFIG.classes_universe_threshold  # auto resolves to classes
         specs = [
             InstanceSpec(
-                workload=WorkloadSpec.of("zipf", universe=universe, total=6 * (k + 1)),
+                workload=WorkloadSpec.of("zipf", universe=64, total=6 * (k + 1)),
                 n_machines=2,
                 tag=f"a{k}",
             )

@@ -36,8 +36,6 @@ class TestSharding:
     def test_construction_validates_knobs(self):
         with pytest.raises(ValidationError):
             ShardedSamplerService(shards=0)
-        with pytest.raises(ValidationError):
-            ShardedSamplerService(shards=2, max_dense_dimension=-1)
         with pytest.raises(Exception):
             ShardedSamplerService(shards=2, backend="no-such-backend")
 

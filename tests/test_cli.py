@@ -103,24 +103,6 @@ class TestCli:
         assert code == 2
         assert "positive worker count" in capsys.readouterr().err
 
-    def test_max_dense_dim_rejects_nonpositive(self, capsys):
-        code = main(["sample", "--max-dense-dim", "0", "--universe", "16",
-                     "--total", "8", "--machines", "2"])
-        assert code == 2
-        assert "max_dense_dimension" in capsys.readouterr().err
-        code = main(["sample", "--batch", "4", "--max-dense-dim", "-5",
-                     "--universe", "16", "--total", "8", "--machines", "2"])
-        assert code == 2
-        assert "max_dense_dimension" in capsys.readouterr().err
-
-    def test_max_dense_dim_caps_auto_onto_classes(self, capsys):
-        """2N = 32 over an 8-cell cap: auto routing must pick classes."""
-        code = main(["sample", "--max-dense-dim", "8", "--universe", "16",
-                     "--total", "8", "--machines", "2", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "classes" in out
-
 
 class TestServeCli:
     def test_serve_smoke(self, capsys):

@@ -13,7 +13,6 @@ class TestRoutingThresholds:
 
     def test_defaults(self):
         assert CONFIG.stack_threshold == 64
-        assert CONFIG.classes_universe_threshold == 10**5
         assert CONFIG.max_dense_dimension == 2**24
 
     def test_fields_are_plain_mutable_attributes(self):
