@@ -39,11 +39,12 @@ e22:
 	$(PYTHON) -m pytest benchmarks/bench_e22_backend_scaling.py -q --benchmark-disable
 
 # E23: the stacked engines vs the per-instance loop — classes at any
-# scale, the (B, N, 2) stacked-dense subspace backend on the medium-N
-# grid, and the CSR ragged substrate on mixed-ν batches.  Full run
-# asserts the ≥5× (classes), ≥3× (dense) and ≥2×-over-padded (ragged)
-# instances/sec bars at B = 256; the smoke variant (tiny B, all
-# backends, no throughput assertion) is what CI executes.
+# scale and on a mixed-ν family, and the (B, N, 2) stacked-dense
+# subspace backend on the medium-N grid.  Full run asserts the ≥5×
+# (classes, mixed-ν included) and ≥3× (dense) instances/sec bars at
+# B = 256, and that stacked classes rows equal per-instance rows; the
+# smoke variant (tiny B, all families, no throughput assertion) is
+# what CI executes.
 bench-batch:
 	$(PYTHON) -m pytest benchmarks/bench_e23_batched_throughput.py -q --benchmark-disable
 
@@ -53,9 +54,8 @@ bench-batch-smoke:
 
 # E24: the long-lived serving loop vs the offline batched driver.  Full
 # run asserts the ≥0.8× throughput bar and the deadline-bounded p99; the
-# smoke variants (tiny trace + the mixed-ν ragged trickle, whose ≥2×
-# and ≥0.9-fill bars self-gate on ≥4 cores) are what CI executes,
-# alongside a CLI trace through `python -m repro serve`.
+# smoke variants (tiny trace + the tracing-overhead check) are what CI
+# executes, alongside a CLI trace through `python -m repro serve`.
 bench-serve:
 	$(PYTHON) -m pytest benchmarks/bench_e24_serving.py -q --benchmark-disable \
 		-k "not hook"
@@ -107,16 +107,19 @@ bench-api:
 		--benchmark-disable
 
 # The front-door benchmark (perfbench/, declared in BENCHMARK.json): a
-# 3-second untraced run of each declared workload, failing unless the
+# 3-second run of each declared workload, untraced and traced (the
+# traced path reads the spans and telemetry), failing unless every
 # run's last line reports "correct": true — so an API change cannot
 # break the benchmark unnoticed.
 PERFBENCH_SMOKE_WORKLOADS = serve-open churn-sharded
 
 perfbench-smoke:
 	@for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
-		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
-			--seconds 3 --trace 0) || { echo "$$out"; exit 1; }; \
-		echo "$$out"; \
-		echo "$$out" | tail -n 1 | grep -q '"correct": true' \
-			|| { echo "perfbench-smoke: $$workload is not correct"; exit 1; }; \
+		for trace in 0 1; do \
+			out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+				--seconds 3 --trace $$trace) || { echo "$$out"; exit 1; }; \
+			echo "$$out"; \
+			echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+				|| { echo "perfbench-smoke: $$workload (trace $$trace) is not correct"; exit 1; }; \
+		done; \
 	done

@@ -2,12 +2,14 @@
 
 Two claims, one artifact:
 
-* **Stacked classes** (PR 2 / ISSUE 2): the ``classes`` backend
-  compresses each instance to a ``(ν+1)×2`` cell grid, so ``B``
-  instances stack into one ``(B, ν+1, 2)`` tensor and the whole Theorem
-  4.3/4.5 amplification loop runs as a constant number of NumPy kernels
-  per iterate.  Acceptance bar: **≥ 5× instances/sec over the
-  per-instance ``classes`` loop at B = 256, ν ≤ 32**.
+* **Stacked classes**: the ``classes`` backend compresses each instance
+  to a ``(ν+1)×2`` cell grid, so ``B`` instances CSR-pack into one
+  ``(Σ(ν_b+1), 2)`` plane and the whole Theorem 4.3/4.5 amplification
+  loop runs as a constant number of NumPy kernels per iterate.
+  Acceptance bar: **≥ 5× instances/sec over the per-instance
+  ``classes`` loop at B = 256**, on homogeneous ν ≤ 32 families and on
+  a mixed-ν family (ν ∈ {8, 512}); the first rows of every family are
+  asserted ``==`` their per-instance runs.
 * **Stacked dense subspace**: on the medium-``N`` grid,
   against the explicit per-instance dense ``subspace`` backend, the
   ``(B, N, 2)`` stacked-dense backend amortizes the
@@ -37,7 +39,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.batch import execute_sampling_batch, padded_fill_ratio
+from repro.batch import execute_sampling_batch
 from repro.core import ParallelSampler, SequentialSampler
 from repro.database import DistributedDatabase
 from repro.utils.rng import as_generator
@@ -105,6 +107,14 @@ def _compare(dbs, model: str, batch_size: int) -> dict:
     for ref, res in zip(base_results, batch_results):
         assert res.exact and ref.exact
         assert res.ledger.summary() == ref.ledger.summary()
+    # The row-identity gate, spot-checked here (the full grid lives in
+    # tests/batch/test_bit_identity.py): stacked rows equal per-instance
+    # classes rows bit for bit, whatever else shares the batch.
+    for ref, res in zip(base_results[:4], batch_results[:4]):
+        assert res.fidelity == ref.fidelity
+        assert np.array_equal(
+            res.final_state.class_amplitudes(), ref.final_state.class_amplitudes()
+        )
     return {
         "model": model,
         "backend": "classes",
@@ -147,61 +157,18 @@ def _compare_dense(dbs, batch_size: int) -> list[dict]:
     ]
 
 
-def _ragged_instance(universe: int, nu: int, seed: int) -> DistributedDatabase:
-    """Full-class workload: every supported key at multiplicity ν.
-
-    ``M = s·ν`` so the overlap ``a = M/(νN) = s/N`` is *independent of
-    ν* — a mixed-ν family shares one plan and one schedule shape, which
-    isolates exactly what the CSR packing removes: the padded path runs
-    the same single lockstep group, just over a ``(B, max ν + 1, 2)``
-    tensor instead of the ``(Σ(ν_b+1), 2)`` plane.
-    """
-    rng = as_generator(seed)
-    support = rng.choice(universe, size=125, replace=False)
-    counts = np.zeros((N_MACHINES, universe), dtype=np.int64)
-    counts[0, support] = nu // 2
-    counts[1, support] = nu - nu // 2
-    return DistributedDatabase.from_count_matrix(counts, nu=nu)
-
-
 def _mixed_nu_batch(universe: int, batch_size: int) -> list[DistributedDatabase]:
-    """Mostly-narrow instances with a wide straggler every 8th slot —
-    the heterogeneity that forces a padded stack to ~0.14 fill."""
+    """Mostly-narrow instances with a wide straggler every 8th slot.
+
+    Every supported key sits at multiplicity ν, so ``M = s·ν`` and the
+    overlap ``a = M/(νN) = s/N`` is *independent of ν*: the whole family
+    shares one plan and one schedule shape, and runs as one lockstep
+    group over segments of width 9 and 513.
+    """
     return [
-        _ragged_instance(universe, 512 if seed % 8 == 0 else 8, seed)
+        _instance(universe, 512 if seed % 8 == 0 else 8, seed)
         for seed in range(batch_size)
     ]
-
-
-def _compare_ragged(dbs, model: str, batch_size: int) -> dict:
-    """Padded stacked classes vs the CSR ragged substrate, same databases."""
-    dbs = dbs[:batch_size]
-    _batched_rate(dbs[:4], model)
-    _batched_rate(dbs[:4], model, backend="ragged")
-    padded_rate, padded_results = _batched_rate(dbs, model)
-    ragged_rate, ragged_results = _batched_rate(dbs, model, backend="ragged")
-    for ref, res in zip(padded_results, ragged_results):
-        assert res.exact and ref.exact
-        assert res.backend == "ragged"
-        assert res.ledger.summary() == ref.ledger.summary()
-        assert abs(res.fidelity - ref.fidelity) < 1e-12
-    # The row-identity gate: ragged rows equal each instance's own
-    # single-instance stacked-classes run bit for bit (spot-checked here;
-    # the full grid lives in tests/batch/test_ragged.py).
-    for db, res in zip(dbs[:4], ragged_results[:4]):
-        [reference] = execute_sampling_batch([db], model=model, backend="classes")
-        assert res.fidelity == reference.fidelity
-        assert res.ledger.summary() == reference.ledger.summary()
-    return {
-        "model": model,
-        "backend": "ragged",
-        "B": batch_size,
-        "per_instance_rate": padded_rate,  # the padded stack IS the baseline here
-        "batched_rate": ragged_rate,
-        "speedup": ragged_rate / padded_rate,
-        "padded_fill": padded_fill_ratio([db.nu + 1 for db in dbs]),
-        "ragged_fill": 1.0,  # CSR: every packed cell is live
-    }
 
 
 def _report_rows(trajectory, report, claim):
@@ -241,15 +208,15 @@ def test_e23_batched_throughput(report):
             trajectory.append(row)
     mixed = _mixed_nu_batch(2048, 256)
     for model in ("sequential", "parallel"):
-        row = _compare_ragged(mixed, model, batch_size=256)
-        row["family"] = "ragged/mixed-nu/N2048"
+        row = _compare(mixed, model, batch_size=256)
+        row["family"] = "mixed-nu/N2048"
         trajectory.append(row)
     _report_rows(
         trajectory,
         report,
-        "stacked classes ≥5× per-instance classes; stacked dense ≥3× "
-        "per-instance subspace on the medium-N grid; ragged ≥2× the "
-        "padded stack on mixed-ν (B=256)",
+        "stacked classes ≥5× per-instance classes (homogeneous and "
+        "mixed-ν); stacked dense ≥3× per-instance subspace on the "
+        "medium-N grid (B=256)",
     )
     for row in trajectory:
         if row["family"].startswith("medium/"):
@@ -258,16 +225,6 @@ def test_e23_batched_throughput(report):
             assert row["speedup"] >= 3.0, (
                 f"{row['family']}: stacked-dense speedup {row['speedup']:.2f}× "
                 "below the 3× acceptance bar at B=256"
-            )
-        elif row["family"].startswith("ragged/"):
-            assert row["ragged_fill"] >= 0.9, (
-                f"{row['family']}/{row['model']}: ragged fill "
-                f"{row['ragged_fill']:.2f} below the 0.9 acceptance bar"
-            )
-            assert row["speedup"] >= 2.0, (
-                f"{row['family']}/{row['model']}: ragged speedup "
-                f"{row['speedup']:.2f}× over the padded stack below the "
-                "2× acceptance bar at B=256"
             )
         else:
             assert row["speedup"] >= 5.0, (
@@ -289,12 +246,10 @@ def test_e23_smoke_small(report):
         row["family"] = "smoke-medium/nu8/N512"
         trajectory.append(row)
         assert row["speedup"] > 0
-    ragged_row = _compare_ragged(_mixed_nu_batch(512, 8), "sequential", batch_size=8)
-    ragged_row["family"] = "smoke-ragged/mixed-nu/N512"
-    trajectory.append(ragged_row)
-    assert ragged_row["speedup"] > 0
-    assert ragged_row["ragged_fill"] == 1.0
-    assert ragged_row["padded_fill"] < 0.9  # the stream is genuinely mixed-ν
+    mixed_row = _compare(_mixed_nu_batch(512, 8), "sequential", batch_size=8)
+    mixed_row["family"] = "smoke/mixed-nu/N512"
+    trajectory.append(mixed_row)
+    assert mixed_row["speedup"] > 0
     _report_rows(
         trajectory,
         report,

@@ -59,19 +59,11 @@ def _batched_rate(specs, rng) -> tuple[float, list[dict]]:
     return len(specs) / elapsed, result.rows
 
 
-def _serve_trace(
-    specs,
-    rng,
-    rate_hz: float,
-    deadline: float = DEADLINE,
-    backend: str = "classes",
-    batch_size: int = BATCH_SIZE,
-):
+def _serve_trace(specs, rng, rate_hz: float, deadline: float = DEADLINE):
     """Replay one arrival trace; returns (telemetry, rows)."""
     arrivals = as_generator(123)
     with SamplerService(
-        batch_size=batch_size, flush_deadline=deadline, workers=2, rng=rng,
-        backend=backend,
+        batch_size=BATCH_SIZE, flush_deadline=deadline, workers=2, rng=rng
     ) as service:
         for spec in specs:
             if rate_hz > 0:
@@ -203,131 +195,6 @@ def test_e24_smoke_small(report):
         trajectory,
         report,
         "serving smoke (tiny trace): equivalence holds, telemetry recorded",
-    )
-
-
-def _mixed_nu_specs(count: int, universe: int = 1024) -> list[InstanceSpec]:
-    """Mostly-narrow (ν = 8) requests with a wide straggler (ν = 512)
-    every 8th slot.  ``total ∝ ν`` keeps the overlap ``M/(νN)`` — hence
-    the schedule shape — constant across the stream, so the padded
-    classes path runs ONE lockstep group and the measured gap is exactly
-    the padding the CSR packing removes."""
-
-    def spec(total, nu, tag):
-        return InstanceSpec(
-            workload=WorkloadSpec.of("uniform", universe=universe, total=total),
-            n_machines=2,
-            nu=nu,
-            tag=tag,
-        )
-
-    return [
-        spec(4096, 512, "wide") if k % 8 == 0 else spec(64, 8, "narrow")
-        for k in range(count)
-    ]
-
-
-def _mixed_shape_specs(count: int, universe: int = 1024) -> list[InstanceSpec]:
-    """Three overlap regimes → several schedule shapes AND mixed ν: the
-    trickle stream that fragments the per-shape packer."""
-
-    def spec(total, nu, tag):
-        return InstanceSpec(
-            workload=WorkloadSpec.of("uniform", universe=universe, total=total),
-            n_machines=2,
-            nu=nu,
-            tag=tag,
-        )
-
-    families = [spec(64, 8, "a"), spec(8, 8, "b"), spec(4096, 512, "c")]
-    return [families[k % 3] for k in range(count)]
-
-
-def test_e24_smoke_ragged_trickle():
-    """Tentpole bars (CSR ragged packing), gated on ≥ 4 cores:
-
-    * **throughput** — on the same-shape mixed-ν stream at full offered
-      load, the ragged service sustains **≥ 2×** the padded classes
-      path's instances/sec (the padded tensor holds ~7× the live cells);
-    * **fill** — on the mixed-shape trickle, the ragged pool keeps batch
-      fill **≥ 0.9** where the per-shape packer fragments into partial
-      deadline flushes (the ~0.25-fill regime this PR exists for).
-
-    Row equivalence (1e-12 fidelity, everything else exact) and the
-    padding_cells contrast are asserted unconditionally; the artifact
-    merges into ``E24.json`` under ``"ragged_trickle"`` and a closing
-    metrics snapshot (``serve.padding_cells``, the ``serve.batch_fill``
-    histogram) is appended to ``E24_trace.jsonl``.
-    """
-    import json
-    import os
-
-    from repro.analysis import archive_results, load_results, results_dir
-    from repro.obs.metrics import METRICS
-
-    specs = _mixed_nu_specs(128)
-    _serve_trace(specs[:16], rng=6, rate_hz=0.0, backend="ragged", batch_size=32)
-    _serve_trace(specs[:16], rng=6, rate_hz=0.0, backend="classes", batch_size=32)
-    padded_t, padded_rows = _serve_trace(
-        specs, rng=6, rate_hz=0.0, backend="classes", batch_size=32
-    )
-    ragged_t, ragged_rows = _serve_trace(
-        specs, rng=6, rate_hz=0.0, backend="ragged", batch_size=32
-    )
-    assert len(ragged_rows) == len(padded_rows)
-    for mine, ref in zip(ragged_rows, padded_rows):
-        assert mine["fidelity"] == pytest.approx(ref["fidelity"], abs=1e-12)
-        assert mine["backend"] == "ragged" and ref["backend"] == "classes"
-        skip = ("fidelity", "backend")
-        assert {k: v for k, v in mine.items() if k not in skip} == {
-            k: v for k, v in ref.items() if k not in skip
-        }
-    # the contrast stat: CSR packs zero padding; the padded stack pays
-    # (max ν − ν_b) cells for every narrow instance in a wide batch.
-    assert ragged_t["padding_cells"] == 0
-    assert padded_t["padding_cells"] > 0
-
-    trickle_t, _ = _serve_trace(
-        _mixed_shape_specs(128), rng=8, rate_hz=800.0, backend="ragged",
-        batch_size=16,
-    )
-    trickle_padded_t, _ = _serve_trace(
-        _mixed_shape_specs(128), rng=8, rate_hz=800.0, backend="classes",
-        batch_size=16,
-    )
-
-    try:
-        payload = load_results("E24")
-    except FileNotFoundError:
-        payload = {"claim": "serving smoke (ragged trickle only)"}
-    payload["ragged_trickle"] = {
-        "padded_rate": padded_t["instances_per_sec"],
-        "ragged_rate": ragged_t["instances_per_sec"],
-        "speedup": ragged_t["instances_per_sec"] / padded_t["instances_per_sec"],
-        "padded_padding_cells": padded_t["padding_cells"],
-        "ragged_padding_cells": ragged_t["padding_cells"],
-        "trickle_fill_ragged": trickle_t["batch_fill_ratio"],
-        "trickle_fill_classes": trickle_padded_t["batch_fill_ratio"],
-        "trickle_fill_p50_ragged": trickle_t["fill_p50"],
-        "trickle_fill_p50_classes": trickle_padded_t["fill_p50"],
-    }
-    archive_results("E24", payload)
-    # The serving metrics registry (padding counter + fill histogram)
-    # rides in the trace artifact for `repro stats` / compare_results.
-    sink = os.path.join(results_dir(), "E24_trace.jsonl")
-    with open(sink, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(METRICS.record()) + "\n")
-
-    if len(os.sched_getaffinity(0)) < 4:
-        return  # bars need real parallelism; artifacts recorded above
-    assert ragged_t["batch_fill_ratio"] >= 0.9
-    assert trickle_t["batch_fill_ratio"] >= 0.9, (
-        f"ragged trickle fill {trickle_t['batch_fill_ratio']:.2f} below the "
-        "0.9 acceptance bar"
-    )
-    assert ragged_t["instances_per_sec"] >= 2.0 * padded_t["instances_per_sec"], (
-        f"ragged {ragged_t['instances_per_sec']:.0f}/s below 2× padded "
-        f"{padded_t['instances_per_sec']:.0f}/s on the mixed-ν stream"
     )
 
 

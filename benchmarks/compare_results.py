@@ -71,33 +71,15 @@ def extract_fills(payload: dict) -> dict[str, float]:
 
     Fill is a higher-is-better column (1.0 = the packer always filled
     the stacked tensor): a *drop* past the threshold warns, because it
-    means the serving tier started padding or fragmenting batches it
-    used to pool.  Reads ``batch_fill_ratio`` (the serving trajectories)
-    and ``ragged_fill`` (the E23 ragged cells) under one key scheme.
+    means the serving tier started fragmenting batches it used to
+    fill.  Reads ``batch_fill_ratio`` (the serving trajectories).
     """
     fills: dict[str, float] = {}
     for row in list(payload.get("trajectory", [])) + list(payload.get("matrix", [])):
-        for column in ("batch_fill_ratio", "ragged_fill"):
-            fill = row.get(column)
-            if isinstance(fill, (int, float)) and fill > 0:
-                fills[f"{_scenario_key(row)}|{column}"] = float(fill)
+        fill = row.get("batch_fill_ratio")
+        if isinstance(fill, (int, float)) and fill > 0:
+            fills[f"{_scenario_key(row)}|batch_fill_ratio"] = float(fill)
     return fills
-
-
-def extract_ragged_metrics(payload: dict) -> dict[str, float]:
-    """Higher-is-better scalars from an E24 ``"ragged_trickle"`` block.
-
-    ``ragged_rate`` (instances/sec on the mixed-ν stream), ``speedup``
-    (ragged over the padded path) and ``trickle_fill_ragged`` (pool fill
-    under trickle load) each warn when they *drop* past the threshold.
-    """
-    block = payload.get("ragged_trickle") or {}
-    metrics: dict[str, float] = {}
-    for key in ("ragged_rate", "speedup", "trickle_fill_ragged"):
-        value = block.get(key)
-        if isinstance(value, (int, float)) and value > 0:
-            metrics[f"ragged_trickle.{key}"] = float(value)
-    return metrics
 
 
 def extract_span_p99s(payload: dict) -> dict[str, float]:
@@ -134,23 +116,19 @@ def compare_payloads(
                 f"throughput regression {drop:.0f}% in {key}: "
                 f"{base:.0f}/s -> {cur:.0f}/s"
             )
-    # Fill ratios and the ragged-trickle metrics are higher-is-better
-    # like rates: a drop past the threshold warns.  A column missing
-    # from the current run is not flagged — older baselines predate it.
-    for label, extractor in (
-        ("fill-ratio", extract_fills),
-        ("ragged-metric", extract_ragged_metrics),
-    ):
-        base_values = extractor(baseline)
-        cur_values = extractor(current)
-        for key, base in sorted(base_values.items()):
-            cur = cur_values.get(key)
-            if cur is not None and cur < (1.0 - threshold) * base:
-                drop = 100.0 * (1.0 - cur / base)
-                warnings.append(
-                    f"{label} regression {drop:.0f}% in {key}: "
-                    f"{base:.2f} -> {cur:.2f}"
-                )
+    # Fill ratios are higher-is-better like rates: a drop past the
+    # threshold warns.  A column missing from the current run is not
+    # flagged — older baselines predate it.
+    base_fills = extract_fills(baseline)
+    cur_fills = extract_fills(current)
+    for key, base in sorted(base_fills.items()):
+        cur = cur_fills.get(key)
+        if cur is not None and cur < (1.0 - threshold) * base:
+            drop = 100.0 * (1.0 - cur / base)
+            warnings.append(
+                f"fill-ratio regression {drop:.0f}% in {key}: "
+                f"{base:.2f} -> {cur:.2f}"
+            )
     # Span-phase durations regress the other way: growth is bad.  Same
     # threshold, same advisory character.  A phase missing from the
     # current run is not flagged — traced smokes are optional per run.

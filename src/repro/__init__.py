@@ -47,7 +47,7 @@ Subpackages
 :mod:`repro.analysis`
     Scaling fits, statistics, sweeps and report tables.
 :mod:`repro.batch`
-    Stacked ``(B, ν+1, 2)`` batched execution and the throughput driver.
+    Stacked count-class batched execution and the throughput driver.
 :mod:`repro.serve`
     The long-lived batching sampler service (queue → shape-keyed
     re-packing → futures, with live telemetry).

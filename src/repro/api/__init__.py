@@ -15,7 +15,7 @@ package routes every workload through a single pipeline instead:
     *How* it executes: ``auto`` resolves to the ``O(ν)``-memory
     ``classes`` substrate at every ``N`` (the dense layouts are
     explicit-only references), and strategy routing — per-instance for heterogeneous requests, the
-    stacked ``(B, ν+1, 2)`` batch engine for homogeneous groups of 64+,
+    stacked count-class batch engine for homogeneous groups of 64+,
     process fan-out for build-dominated loads (``jobs > 1``), the
     serving dispatcher for streams.
 :func:`sample` / :func:`sample_many` / :func:`serve`

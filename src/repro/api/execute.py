@@ -22,10 +22,10 @@ Strategy executors
 ``stacked``:
     The stacked batch engine
     (:func:`~repro.batch.engine.execute_class_batch`) on the group's
-    resolved substrate — the ``(B, ν+1, 2)`` count-class tensor under
+    resolved substrate — the CSR-packed count-class plane under
     ``auto``, or an explicitly named one — chunked by ``batch_size`` in
-    request order; rows are bit-identical to
-    ``run_batched(backend=<same>)`` for the same seeds and batch size.
+    request order; ``classes`` rows are bit-identical to per-instance
+    ``classes`` rows whatever the chunking.
 ``fanout``:
     The same stacked chunks shipped to a
     :class:`~concurrent.futures.ProcessPoolExecutor` for build-dominated
@@ -194,8 +194,7 @@ def serve(
                     include_probabilities=request.include_probabilities,
                     capacity=request.capacity,
                     # "auto" passes through verbatim: the dispatcher
-                    # resolves it to classes (or pools it onto ragged
-                    # when the fill threshold is armed).
+                    # resolves it to classes.
                     backend=request.backend,
                 )
                 if effective_shards is not None:

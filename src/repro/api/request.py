@@ -219,26 +219,6 @@ class SamplingRequest:
             return "database"
         return "spec" if self.spec is not None else "stream"
 
-    def planning_universe(self) -> int:
-        """``N`` — the element-register size, without building anything.
-
-        Databases and streams know it directly; spec recipes expose it
-        through the workload's ``universe`` parameter (every registered
-        generator takes one).
-        """
-        if self.database is not None:
-            return self.database.universe
-        if self.stream is not None:
-            return self.stream.database.universe
-        assert self.spec is not None
-        universe = dict(self.spec.workload.params).get("universe")
-        if universe is None:
-            raise RequestError(
-                f"workload {self.spec.workload.name!r} declares no 'universe' "
-                "parameter"
-            )
-        return int(universe)
-
     def resolved_label(self) -> str:
         """The row label this request will carry."""
         if self.label is not None:

@@ -8,20 +8,16 @@ as one tensor, on an interchangeable stacked representation.
     (the batch-level mirror of :mod:`repro.core.backends`), with
     ``"auto"`` resolving to the ``classes`` substrate at every scale.
 :mod:`repro.batch.stacked`
-    :class:`StackedClassVector` — ``B`` count-class states as a single
-    ``(B, C, 2)`` amplitude tensor with per-instance class maps (the
-    ``"classes"`` substrate, any scale).
+    :class:`StackedClassVector` — ``B`` count-class states CSR-packed
+    into one ``(Σ(νᵢ+1), 2)`` values plane with per-instance class maps
+    (the ``"classes"`` substrate: any scale, any mix of ν, rows
+    bit-identical to per-instance ``classes`` runs).
 :mod:`repro.batch.stacked_dense`
     :class:`StackedSubspaceVector` — ``B`` dense Eq. (5) states as one
     ``(B, N, 2)`` tensor (the ``"subspace"`` substrate, bit-identical to
     per-instance subspace rows), and :class:`StackedSyncedVector` — the
     same planes carrying the parallel Lemma 4.4 layout (the ``"synced"``
     substrate); both explicit-only equivalence references.
-:mod:`repro.batch.ragged`
-    :class:`RaggedClassVector` — ``B`` heterogeneous-ν count-class
-    states CSR-packed into one ``(Σ(νᵢ+1), 2)`` value plane (the
-    ``"ragged"`` substrate: mixed-shape groups at fill ratio ≈ 1, with
-    per-instance masked schedules instead of padding).
 :mod:`repro.batch.engine`
     :func:`execute_sampling_batch` — the Theorem 4.3/4.5 amplification
     loop over a whole batch at once, grouped by backend and schedule
@@ -50,7 +46,6 @@ from .driver import (
     run_batched,
 )
 from .engine import ClassInstance, cached_plan, execute_class_batch, execute_sampling_batch
-from .ragged import RaggedClassVector, padded_fill_ratio
 from .stacked import StackedClassVector
 from .stacked_dense import StackedSubspaceVector, StackedSyncedVector
 
@@ -59,7 +54,6 @@ __all__ = [
     "CLASS_SUBSTRATE",
     "ClassInstance",
     "DEFAULT_BATCH_SIZE",
-    "RaggedClassVector",
     "StackedBackend",
     "StackedClassVector",
     "StackedSubspaceVector",
@@ -72,7 +66,6 @@ __all__ = [
     "execute_sampling_batch",
     "iter_seeded_batches",
     "pack_batches",
-    "padded_fill_ratio",
     "register_stacked_backend",
     "resolve_stacked_backend",
     "resolve_stacked_name",

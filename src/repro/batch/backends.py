@@ -15,10 +15,12 @@ schedules exactly once, backend-agnostically.
 Stacked backends
 ----------------
 ``"classes"`` (both models):
-    ``B`` count-class compressed states as one ``(B, ν+1, 2)`` tensor
-    (:class:`~repro.batch.stacked.StackedClassVector`).  ``O(B·ν)``
-    memory regardless of ``N`` — the substrate that stacks
-    million-element universes.
+    ``B`` count-class compressed states CSR-packed into one
+    ``(Σ(ν_b+1), 2)`` values plane
+    (:class:`~repro.batch.stacked.StackedClassVector`).  ``O(Σν_b)``
+    memory regardless of ``N`` and no padding for mixed ``ν`` — the
+    substrate that stacks million-element universes, with rows
+    bit-identical to per-instance ``classes`` runs.
 ``"subspace"`` (sequential):
     ``B`` dense Eq. (5) states as one ``(B, N, 2)`` tensor
     (:mod:`repro.batch.stacked_dense`), padded with inert rows for
@@ -30,11 +32,6 @@ Stacked backends
     4.4 synced layout (:class:`~repro.batch.stacked_dense.StackedSyncedBackend`),
     bit-identical to per-instance
     :class:`~repro.core.backends.SyncedBackend` rows; explicit-only.
-``"ragged"`` (both models):
-    CSR-style ``(values, offsets)`` packing of heterogeneous-ν batches
-    into one contiguous ``(Σνᵢ+B, 2)`` plane
-    (:mod:`repro.batch.ragged`) — mixed-ν, mixed-schedule work executes
-    as **one** group with fill ratio ≈ 1 instead of padding to max ν.
 
 The state objects returned by :meth:`StackedBackend.uniform_state`
 share the batched phase surface of
@@ -123,11 +120,8 @@ class StackedBackend(abc.ABC):
     #: Query models this backend can execute.
     models: ClassVar[tuple[str, ...]]
     #: Whether one group may mix schedule shapes (``grover_reps`` /
-    #: ``needs_final``).  When True the engine relaxes its grouping key
-    #: to the compatibility class and drives heterogeneous schedules with
-    #: a masked iterate loop, calling ``apply_d(state, adjoint, active=mask)``
-    #: — inactive instances must see an exact identity.  Padding-free
-    #: substrates (the CSR-packed ``ragged`` backend) opt in.
+    #: ``needs_final``).  False for every backend: the engine groups by
+    #: schedule shape and runs each group's lockstep loop.
     supports_mixed_schedules: ClassVar[bool] = False
 
     def __init__(self, instances: Sequence["ClassInstance"], model: str) -> None:
@@ -246,15 +240,13 @@ def resolve_stacked_name(name: str, model: str) -> str:
 
 
 @lru_cache(maxsize=256)
-def cached_u_blocks(nu: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eq. (6) rotation blocks for capacity ``nu``, identity-padded to ``width``.
+def cached_u_blocks(nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. (6) rotation blocks for capacity ``nu`` as ``(forward, adjoint)``.
 
-    Padded classes carry the identity so a stacked application acts on
-    instance cells exactly as the unpadded per-instance operator would.
-    Returns ``(forward, adjoint)``; treat both as read-only.
+    One ``(ν+1, 2, 2)`` pair per distinct capacity, shared by every group
+    that stacks an instance of that ``ν``; treat both as read-only.
     """
-    forward = np.tile(np.eye(2, dtype=np.complex128), (width, 1, 1))
-    forward[: nu + 1] = u_rotation_blocks(nu)
+    forward = np.array(u_rotation_blocks(nu), dtype=np.complex128)
     adjoint = adjoint_blocks(forward)
     forward.setflags(write=False)
     adjoint.setflags(write=False)
@@ -263,12 +255,14 @@ def cached_u_blocks(nu: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 @register_stacked_backend
 class StackedClassBackend(StackedBackend):
-    """``B`` count-class states as one ``(B, ν+1, 2)`` tensor (both models).
+    """``B`` count-class states CSR-packed into one plane (both models).
 
-    The original stacked substrate: ``O(B·ν)`` memory independent of
-    ``N``, every iterate a constant number of kernels.  Rows are
-    interchangeable with per-instance ``classes``-backend runs (cell-
-    for-cell equivalence is regression-tested in ``tests/batch/``).
+    ``O(Σν_b)`` memory independent of ``N``, every iterate a constant
+    number of kernels.  Each segment performs the same per-cell
+    arithmetic and the same reduction trees as that instance's own
+    :class:`~repro.qsim.classvector.ClassVector`, so rows are
+    bit-identical to per-instance ``classes``-backend runs whatever
+    batch they ran in (regression-tested in ``tests/batch/``).
     """
 
     name = "classes"
@@ -280,19 +274,13 @@ class StackedClassBackend(StackedBackend):
             [inst.nu + 1 for inst in self._instances],
         )
 
-    def _blocks(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        batch = len(self._instances)
-        forward = np.empty((batch, width, 2, 2), dtype=np.complex128)
-        adjoint = np.empty_like(forward)
-        for b, inst in enumerate(self._instances):
-            fwd, adj = cached_u_blocks(inst.nu, width)
-            forward[b] = fwd
-            adjoint[b] = adj
-        return forward, adjoint
-
     def apply_d(self, state: StackedClassVector, adjoint: bool = False) -> StackedClassVector:
         if not hasattr(self, "_d_blocks"):
-            self._d_blocks = self._blocks(state.width)
+            pairs = [cached_u_blocks(inst.nu) for inst in self._instances]
+            self._d_blocks = (
+                np.concatenate([fwd for fwd, _ in pairs], axis=0),
+                np.concatenate([adj for _, adj in pairs], axis=0),
+            )
         forward, adj = self._d_blocks
         return state.apply_class_flag_unitary(adj if adjoint else forward)
 

@@ -211,9 +211,9 @@ def run_batched(
         policy; ``"skip_empty"`` carries the capacity-aware
         flagged-round restriction into every batch.
     backend:
-        The stacked substrate (``"classes"`` default, ``"ragged"``,
-        ``"auto"`` — ``classes``, the planner's rule — or an explicit
-        dense reference ``"subspace"``/``"synced"``).
+        The stacked substrate (``"classes"`` default, ``"auto"`` —
+        ``classes``, the planner's rule — or an explicit dense reference
+        ``"subspace"``/``"synced"``).
 
     Returns
     -------

@@ -8,23 +8,11 @@ flow), runs each group's amplification loop once on a single stacked
 tensor, and hands back one
 :class:`~repro.core.result.SamplingResult` per input database, in input
 order.  The stacked representation is pluggable
-(:mod:`repro.batch.backends`): the ``(B, ν+1, 2)`` count-class tensor
-(``"classes"``, any scale — what ``"auto"`` resolves to), the CSR-packed
-``"ragged"`` plane (heterogeneous ν at fill ratio ≈ 1), or the explicit
-``(B, N, 2)`` dense references ``"subspace"``/``"synced"`` — the engine
-below never branches on the substrate.
-
-Backends that declare
-:attr:`~repro.batch.backends.StackedBackend.supports_mixed_schedules`
-relax the grouping key to the *compatibility class* (just the backend
-name): one group may then mix schedule shapes, and the engine drives it
-with a masked iterate loop — finished instances ride the remaining
-iterations under unit phases and identity rotation blocks, which are
-exact no-ops, so every instance still executes precisely its own
-schedule.  With ``CONFIG.ragged_fill_threshold > 0``, ``"auto"``
-batches that would pad badly (padded fill below the threshold across
-≥ 2 distinct shapes) are rerouted onto the ``ragged`` substrate; the
-default threshold ``0.0`` keeps auto routing byte-stable.
+(:mod:`repro.batch.backends`): the CSR-packed count-class plane
+(``"classes"``, any scale and any mix of ``ν`` — what ``"auto"``
+resolves to) or the explicit ``(B, N, 2)`` dense references
+``"subspace"``/``"synced"`` — the engine below never branches on the
+substrate.
 
 Exactness is not traded for throughput:
 
@@ -35,11 +23,12 @@ Exactness is not traded for throughput:
   recorded in bulk (the ledger is a counter, so block-recording is
   observationally identical);
 * instances in one group may differ in ``N``, ``ν``, ``n`` and final
-  partial-iterate angles — the stacked states pad with inert cells and
-  identity rotation blocks, and phases are per-instance arrays;
-* the equivalence tests assert output probabilities, fidelities and
-  ledger totals match unbatched ``classes``-backend runs cell for cell,
-  and that stacked ``subspace`` runs match per-instance
+  partial-iterate angles — each class segment has its instance's own
+  width, and phases are per-instance arrays;
+* the equivalence tests assert output probabilities, fidelities, class
+  amplitudes and ledgers match unbatched ``classes``-backend runs with
+  ``==`` whatever batch an instance ran in, and that stacked
+  ``subspace`` runs match per-instance
   :class:`~repro.core.backends.SubspaceBackend` rows bit for bit.
 
 Two batch-level amortizations do the heavy lifting beyond tensor
@@ -71,7 +60,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import CONFIG
 from ..obs.metrics import METRICS
 from ..qsim.classvector import ClassVector
 from ..qsim.register import Register, RegisterLayout
@@ -83,14 +71,11 @@ from ..database.distributed import DistributedDatabase
 from ..database.ledger import QueryLedger
 from ..errors import ValidationError
 from .backends import (
-    AUTO_STACKED_BACKEND,
     CLASS_SUBSTRATE,
-    StackedBackend,
     create_stacked_backend,
     resolve_stacked_backend,
     resolve_stacked_name,
 )
-from .ragged import padded_fill_ratio
 
 
 @dataclass(frozen=True)
@@ -259,52 +244,6 @@ def _charge_run(
         )
 
 
-def _apply_masked_schedules(
-    backend: StackedBackend,
-    state,
-    plans: Sequence[AmplificationPlan],
-) -> None:
-    """Drive one mixed-schedule group through per-instance activity masks.
-
-    Every schedule is ``D`` then ``grover_reps`` full iterates then an
-    optional partial final iterate, so the union of the group's
-    schedules is a single loop of length ``max(reps + needs_final)`` in
-    which each instance is *active* while its own schedule still runs.
-    Inactive instances see unit phases, identity rotation blocks and a
-    unit global phase — exact no-ops on their cells (the backend's
-    ``supports_mixed_schedules`` contract) — so each instance's
-    amplitudes are bit-for-bit those of running its schedule alone,
-    modulo the sign of zeros.  Ledgers are unaffected: they are charged
-    per instance from each plan's own ``d_applications``.
-    """
-    batch = len(plans)
-    reps = np.array([p.grover_reps for p in plans], dtype=np.int64)
-    wants_final = np.array([p.needs_final for p in plans], dtype=bool)
-    final_varphi = np.array([p.final_varphi for p in plans], dtype=np.float64)
-    final_phi = np.array([p.final_phi for p in plans], dtype=np.float64)
-
-    backend.apply_d(state)  # the initial D — every schedule starts with it
-    total = int(np.max(reps + wants_final.astype(np.int64)))
-    pi_phase = np.exp(1j * np.pi)
-    for t in range(total):
-        in_loop = t < reps
-        at_final = wants_final & (reps == t)
-        active = in_loop | at_final
-        varphi = np.ones(batch, dtype=np.complex128)
-        phi = np.ones(batch, dtype=np.complex128)
-        varphi[in_loop] = pi_phase
-        phi[in_loop] = pi_phase
-        varphi[at_final] = np.exp(1j * final_varphi[at_final])
-        phi[at_final] = np.exp(1j * final_phi[at_final])
-        glob = np.where(active, -1.0 + 0.0j, 1.0 + 0.0j)
-        # Q(φ, ϕ) = −D S_π(ϕ) D† S_χ(φ) on the active instances only.
-        state.apply_phase_slice("w", 0, varphi)
-        backend.apply_d(state, adjoint=True, active=active)
-        state.apply_pi_projector_phase(phi)
-        backend.apply_d(state, active=active)
-        state.apply_global_phase(glob)
-
-
 def _run_group(
     instances: Sequence[ClassInstance],
     plans: Sequence[AmplificationPlan],
@@ -318,10 +257,8 @@ def _run_group(
     The control flow below is the whole engine: the named
     :class:`~repro.batch.backends.StackedBackend` owns the tensor and the
     batched ``D`` kernel; ledgers, schedules and plans are charged here,
-    identically for every substrate.  A group whose plans share one
-    schedule shape runs the classic lockstep loop; a mixed-shape group
-    (only formed for ``supports_mixed_schedules`` backends) runs the
-    masked loop of :func:`_apply_masked_schedules`.  Every group
+    identically for every substrate.  Every plan of a group shares one
+    schedule shape, so the group runs one lockstep loop.  Every group
     publishes its kernel wall time into the process metrics registry
     (``engine.group_s.<backend>``), the per-phase signal the ROADMAP's
     cost-model planner needs.
@@ -339,19 +276,13 @@ def _run_group(
         backend.apply_d(state)
         state.apply_global_phase(-1.0)
 
-    if any(
-        (p.grover_reps, p.needs_final) != (plan0.grover_reps, plan0.needs_final)
-        for p in plans
-    ):
-        _apply_masked_schedules(backend, state, plans)
-    else:
-        backend.apply_d(state)  # the initial D
-        for _ in range(plan0.grover_reps):
-            apply_q(np.exp(1j * np.pi), np.exp(1j * np.pi))
-        if plan0.needs_final:
-            varphi = np.exp(1j * np.array([p.final_varphi for p in plans]))
-            phi = np.exp(1j * np.array([p.final_phi for p in plans]))
-            apply_q(varphi, phi)
+    backend.apply_d(state)  # the initial D
+    for _ in range(plan0.grover_reps):
+        apply_q(np.exp(1j * np.pi), np.exp(1j * np.pi))
+    if plan0.needs_final:
+        varphi = np.exp(1j * np.array([p.final_varphi for p in plans]))
+        phi = np.exp(1j * np.array([p.final_phi for p in plans]))
+        apply_q(varphi, phi)
 
     fidelities = backend.fidelities(state)
     probabilities = (
@@ -418,14 +349,12 @@ def execute_sampling_batch(
         with ``skip_zero_capacity=True`` skip them (same ledgers, same
         schedule fingerprints, identical output state).
     backend:
-        The stacked substrate: ``"classes"`` (default — the ``O(ν)``
-        compression, any scale), ``"ragged"`` (CSR-packed
-        heterogeneous-ν groups, bit-identical to per-instance
-        ``classes`` rows), ``"subspace"``/``"synced"`` (the explicit
-        ``(B, N, 2)`` dense references, bit-identical to per-instance
-        ``subspace``/``synced`` rows), or ``"auto"`` — ``classes``, with
-        poor-fill heterogeneous batches rerouted to ``ragged`` when
-        ``CONFIG.ragged_fill_threshold`` is positive.
+        The stacked substrate: ``"classes"`` (default — the CSR-packed
+        ``O(ν)`` compression, any scale, rows bit-identical to
+        per-instance ``classes`` runs), ``"subspace"``/``"synced"`` (the
+        explicit ``(B, N, 2)`` dense references, bit-identical to
+        per-instance ``subspace``/``synced`` rows), or ``"auto"`` —
+        ``classes``.
 
     Returns
     -------
@@ -447,34 +376,6 @@ def execute_sampling_batch(
     )
 
 
-def _reroutes_to_ragged(
-    requested: str,
-    instances: Sequence[ClassInstance],
-    plans: Sequence[AmplificationPlan],
-) -> bool:
-    """Whether a poor-fill heterogeneous ``auto`` batch runs on ``ragged``.
-
-    Applies only when the caller asked for ``"auto"`` routing and
-    ``CONFIG.ragged_fill_threshold`` is positive (the default ``0.0``
-    keeps auto labels byte-stable): the batch is rerouted as one set
-    when it spans at least two distinct ``(ν, schedule-shape)``
-    signatures — genuine heterogeneity, not just a small batch — and a
-    padded ``(B, C, 2)`` stack of it would fill below the threshold.
-    Explicit backend names are never second-guessed; ``backend="ragged"``
-    opts in unconditionally.
-    """
-    threshold = CONFIG.ragged_fill_threshold
-    if requested != AUTO_STACKED_BACKEND or threshold <= 0:
-        return False
-    shapes = {
-        (inst.nu, plan.grover_reps, plan.needs_final)
-        for inst, plan in zip(instances, plans)
-    }
-    if len(shapes) < 2:
-        return False
-    return padded_fill_ratio([inst.nu + 1 for inst in instances]) < threshold
-
-
 def execute_class_batch(
     instances: Sequence[ClassInstance],
     model: str = "sequential",
@@ -491,9 +392,10 @@ def execute_class_batch(
     dynamic-database requests in one stacked tensor without any
     ``O(nN)`` rebuild for the latter.  (The snapshot's joint-count table
     doubles as the per-element count map, so every stacked backend,
-    dense included, executes it directly.)  Semantics and guarantees are
-    those of :func:`execute_sampling_batch`; results come back in input
-    order.
+    dense included, executes it directly.)  Both serving tiers call it
+    on their packers' shape groups, which regroup into one group here.
+    Semantics and guarantees are those of :func:`execute_sampling_batch`;
+    results come back in input order.
     """
     if model not in ("sequential", "parallel"):
         raise ValidationError(f"unknown model {model!r}; choose from ('sequential', 'parallel')")
@@ -502,19 +404,10 @@ def execute_class_batch(
         return []
     plans = [cached_plan(inst.overlap()) for inst in instances]
     backend_name = resolve_stacked_name(backend, model)
-    if _reroutes_to_ragged(backend, instances, plans):
-        backend_name = "ragged"
     backend_cls = resolve_stacked_backend(backend_name, model)
-    groups: dict[tuple[int, bool] | None, list[int]] = {}
+    groups: dict[tuple[int, bool], list[int]] = {}
     for idx, plan in enumerate(plans):
-        # Mixed-schedule backends take the whole batch as one group — the
-        # masked loop executes each instance's own schedule.
-        key = (
-            None
-            if backend_cls.supports_mixed_schedules
-            else (plan.grover_reps, plan.needs_final)
-        )
-        groups.setdefault(key, []).append(idx)
+        groups.setdefault((plan.grover_reps, plan.needs_final), []).append(idx)
     results: list[SamplingResult | None] = [None] * len(instances)
     for indices in groups.values():
         # Backends may bound how many instances one tensor should hold
@@ -537,75 +430,6 @@ def execute_class_batch(
     return results  # type: ignore[return-value]
 
 
-def execute_group_local(
-    instances: Sequence[ClassInstance],
-    model: str = "sequential",
-    include_probabilities: bool = False,
-    skip_zero_capacity: bool = False,
-    backend: str = CLASS_SUBSTRATE,
-    request_ids: Sequence[object] | None = None,
-) -> list[SamplingResult]:
-    """Execute one *pre-packed* schedule-shape group (the shard-local entry).
-
-    The sharded serving tier's packer already groups requests by
-    ``(backend, grover_reps, needs_final)`` before a batch reaches a
-    worker, so re-deriving the grouping (:func:`execute_class_batch`'s
-    first pass) would be pure overhead on the hot path.  This entry
-    point trusts the caller on backend homogeneity — ``backend`` must be
-    a concrete registered name, never ``"auto"`` — but still *verifies*
-    schedule-shape homogeneity (the plans are memoized, so the check is
-    a few tuple compares) because a mixed-shape group would silently run
-    every instance on the first instance's schedule.  Mixed-schedule
-    backends (``supports_mixed_schedules``, e.g. ``ragged``) skip that
-    check: the masked loop executes each instance's own schedule.  When
-    the caller knows its request ids, passing them as ``request_ids``
-    (aligned with ``instances``) makes the mixed-shape error name the
-    offending *request*, not just a batch index nobody can map back.
-    Block splitting by
-    :meth:`~repro.batch.backends.StackedBackend.group_size_limit` and
-    all result guarantees match :func:`execute_class_batch`.
-    """
-    if model not in ("sequential", "parallel"):
-        raise ValidationError(
-            f"unknown model {model!r}; choose from ('sequential', 'parallel')"
-        )
-    instances = list(instances)
-    if not instances:
-        return []
-    backend_cls = resolve_stacked_backend(backend, model)
-    plans = [cached_plan(inst.overlap()) for inst in instances]
-    if not backend_cls.supports_mixed_schedules:
-        shape = (plans[0].grover_reps, plans[0].needs_final)
-        for b, plan in enumerate(plans):
-            if (plan.grover_reps, plan.needs_final) != shape:
-                who = (
-                    f"request {request_ids[b]!r}"
-                    if request_ids is not None and b < len(request_ids)
-                    else f"instance {b}"
-                )
-                raise ValidationError(
-                    f"execute_group_local takes one schedule-shape group for "
-                    f"the {backend!r} backend: {who} has shape "
-                    f"({plan.grover_reps}, {plan.needs_final}), the group "
-                    f"leads with {shape}"
-                )
-    limit = backend_cls.group_size_limit(instances)
-    step = len(instances) if limit is None else max(1, limit)
-    results: list[SamplingResult] = []
-    for start in range(0, len(instances), step):
-        results.extend(
-            _run_group(
-                instances[start : start + step],
-                plans[start : start + step],
-                model,
-                include_probabilities,
-                skip_zero_capacity,
-                backend,
-            )
-        )
-    return results
-
-
 # -- cross-process result marshalling ----------------------------------------------
 #
 # The sharded serving tier hands finished batches back to the dispatcher
@@ -624,23 +448,22 @@ def execute_group_local(
 
 
 def pack_group_results(
-    results: Sequence[SamplingResult], *, ragged: bool = False
+    results: Sequence[SamplingResult],
 ) -> tuple[list[dict[str, object]], dict[str, np.ndarray]]:
     """Flatten executed results into ``(meta, arrays)`` for the shm handoff.
 
     ``meta`` holds only plain scalars (ints, floats, small tuples);
     ``arrays`` holds every ndarray, keyed ``<field><index>``.  Dense
     final states record their register layout in the meta entry, so the
-    wider ``(i, s, w)`` synced layouts survive the wire.  With
-    ``ragged=True`` the class-substrate final states of the whole group
-    are marshalled as **one** CSR triple — a concatenated values plane
-    (``rv``), a concatenated multiplicity plane (``rcs``) and one
-    offsets array (``ro``) — instead of ``2B`` per-instance arrays, so
-    a ragged group crosses the shm arena as the same contiguous packing
-    it executed in.  Raises :class:`ValidationError` for final-state
-    types it does not know how to marshal (a custom registered backend)
-    — callers fall back to pickling the whole results list for that
-    batch.
+    wider ``(i, s, w)`` synced layouts survive the wire.  Class-substrate
+    final states of the whole group are marshalled as **one** CSR triple
+    — a concatenated values plane (``class_values``), a concatenated
+    multiplicity plane (``class_sizes``) and one offsets array
+    (``class_offsets``) — so a group crosses the shm arena as the same
+    contiguous packing it executed in.  Raises :class:`ValidationError`
+    for final-state types it does not know how to marshal (a custom
+    registered backend) — callers fall back to pickling the whole
+    results list for that batch.
     """
     meta: list[dict[str, object]] = []
     arrays: dict[str, np.ndarray] = {}
@@ -660,18 +483,13 @@ def pack_group_results(
         }
         state = res.final_state
         if isinstance(state, ClassVector):
+            entry["state"] = "classes"
             entry["norm"] = float(state._expected_norm)
+            entry["seg"] = len(widths)
             arrays[f"ec{i}"] = state.element_classes
-            if ragged:
-                entry["state"] = "ragged"
-                entry["seg"] = len(widths)
-                widths.append(int(state.n_classes))
-                sizes_parts.append(state.class_sizes)
-                values_parts.append(state.class_amplitudes())
-            else:
-                entry["state"] = "classes"
-                arrays[f"cs{i}"] = state.class_sizes
-                arrays[f"amps{i}"] = state.class_amplitudes()
+            widths.append(int(state.n_classes))
+            sizes_parts.append(state.class_sizes)
+            values_parts.append(state.class_amplitudes())
         elif isinstance(state, StateVector):
             entry["state"] = "dense"
             entry["norm"] = float(state._expected_norm)
@@ -690,9 +508,9 @@ def pack_group_results(
     if widths:
         offsets = np.zeros(len(widths) + 1, dtype=np.int64)
         np.cumsum(np.asarray(widths, dtype=np.int64), out=offsets[1:])
-        arrays["ro"] = offsets
-        arrays["rcs"] = np.concatenate(sizes_parts, axis=0)
-        arrays["rv"] = np.concatenate(values_parts, axis=0)
+        arrays["class_offsets"] = offsets
+        arrays["class_sizes"] = np.concatenate(sizes_parts, axis=0)
+        arrays["class_values"] = np.concatenate(values_parts, axis=0)
     return meta, arrays
 
 
@@ -729,20 +547,13 @@ def unpack_group_results(
         ledger.freeze()
         kind = entry["state"]
         if kind == "classes":
+            seg = int(entry["seg"])  # type: ignore[arg-type]
+            offsets = arrays["class_offsets"]
+            lo, hi = int(offsets[seg]), int(offsets[seg + 1])
             final_state: object = ClassVector.from_parts(
                 np.array(arrays[f"ec{i}"]),
-                np.array(arrays[f"cs{i}"]),
-                np.array(arrays[f"amps{i}"]),
-                expected_norm=float(entry["norm"]),  # type: ignore[arg-type]
-            )
-        elif kind == "ragged":
-            seg = int(entry["seg"])  # type: ignore[arg-type]
-            offsets = arrays["ro"]
-            lo, hi = int(offsets[seg]), int(offsets[seg + 1])
-            final_state = ClassVector.from_parts(
-                np.array(arrays[f"ec{i}"]),
-                np.array(arrays["rcs"][lo:hi]),
-                np.array(arrays["rv"][lo:hi]),
+                np.array(arrays["class_sizes"][lo:hi]),
+                np.array(arrays["class_values"][lo:hi]),
                 expected_norm=float(entry["norm"]),  # type: ignore[arg-type]
             )
         else:

@@ -46,8 +46,7 @@ kept virtual (see :class:`StackedSyncedVector`).
 Instances need not be homogeneous: each carries its own universe size
 ``N_b``.  Shorter instances are padded with inert columns — amplitude
 zero, identity rotation, zero uniform weight — so stacking never changes
-any instance's dynamics, exactly like the padded classes of
-:class:`~repro.batch.stacked.StackedClassVector`.
+any instance's dynamics.
 
 Memory is ``B × 2C`` complex cells (plus scratch and two ``B × C``
 float rotation tables); construction applies the per-instance

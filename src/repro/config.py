@@ -69,18 +69,6 @@ class NumericsConfig:
         to hold several in-flight result batches; undersizing is safe —
         a full arena degrades that batch to pickling, surfaced as
         ``shm_fallback_batches`` in the tier telemetry.
-    ragged_fill_threshold:
-        Heterogeneity routing knob for the batched engine and the
-        serving tiers.  When positive, an ``auto`` batch whose
-        padded fill ratio ``Σ(νᵢ+1) / (B·max(νᵢ+1))`` would fall below
-        this threshold (and that actually mixes schedule shapes or ν
-        widths) is rerouted to the CSR-packed ``ragged`` substrate
-        (:class:`repro.batch.ragged.RaggedClassBackend`), and the
-        serving packers pool mixed-shape ``classes`` traffic under one
-        ragged key instead of fragmenting per schedule shape.  ``0.0``
-        (the default) disables the rerouting, keeping backend labels of
-        existing pinned runs stable; ``backend="ragged"`` always opts
-        in explicitly regardless of this knob.
     """
 
     atol: float = 1e-10
@@ -88,7 +76,6 @@ class NumericsConfig:
     max_dense_dimension: int = 2**24
     stack_threshold: int = 64
     shard_arena_bytes: int = 1 << 24
-    ragged_fill_threshold: float = 0.0
 
     @property
     def strict_checks(self) -> bool:

@@ -2,7 +2,7 @@
 
 Where :mod:`repro.batch` executes a *known* job list at maximum
 throughput, :mod:`repro.serve` accepts sampling requests **over time**
-and keeps the stacked ``(B, ν+1, 2)`` engine saturated anyway:
+and keeps the stacked count-class engine saturated anyway:
 
 :mod:`repro.serve.service`
     :class:`SamplerService` — submit :class:`InstanceSpec` recipes or

@@ -3,7 +3,7 @@
 The stacked engine (:func:`repro.batch.engine.execute_class_batch`) is at
 its best when one tensor holds many instances *of the same
 amplification-schedule shape* ``(grover_reps, needs_final)`` — those run
-as a single group with zero padding waste.  A live service cannot wait
+as a single lockstep group, whatever their ``ν``.  A live service cannot wait
 for ``batch_size`` same-shape arrivals forever, though: latency must stay
 bounded even at a trickle.  :class:`ShapePacker` resolves that tension
 with two flush triggers per shape group:

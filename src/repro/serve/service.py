@@ -28,8 +28,8 @@ a continuously-fed serving loop on top of the stacked ``classes`` engine:
 Determinism mirrors :func:`~repro.batch.driver.run_batched`: child seeds
 are drawn one per spec request **in submission order** from the service's
 ``rng``, so a served spec stream reproduces ``run_batched`` rows for the
-same seeds (regression-tested to the same 1e-12 fidelity tolerance the
-batch driver's own packing-invariance tests use).
+same seeds (regression-tested with ``==`` on every row value, as the
+batch driver's own packing-invariance tests are).
 
 Dynamic databases are served without ``O(nN)`` rebuilds: a live request
 snapshots :meth:`UpdateStream.class_state` — the ``O(1)``-maintained
@@ -50,7 +50,6 @@ from ..analysis.sweep import InstanceSpec
 from ..batch.backends import AUTO_STACKED_BACKEND, resolve_stacked_name
 from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, audit_row, default_row
 from ..batch.engine import ClassInstance, cached_plan, execute_class_batch
-from ..config import CONFIG
 from ..core.result import SamplingResult
 from ..database.dynamic import UpdateStream
 from ..database.fault import apply_fault_mask
@@ -58,7 +57,7 @@ from ..errors import ValidationError
 from ..obs.trace import SpanContext, get_tracer, span
 from ..utils.rng import as_generator, spawn_seed
 from .packer import ShapePacker
-from .stats import ServiceStats, padding_cells
+from .stats import ServiceStats
 
 #: Default seconds a request may wait in the packer before a partial flush.
 DEFAULT_FLUSH_DEADLINE = 0.05
@@ -115,10 +114,6 @@ class ServedRequest:
         # not database-sized.
         self.db = None
         self._instance = instance
-        # Resolved stacked substrate, set by the dispatcher at packing
-        # time (the packer's group key carries it too; stashing it here
-        # keeps it with the batch through the worker pool).
-        self._backend: str | None = None
         self._row_fn = row_fn
         self._row: dict[str, object] | None = None
         self._event = threading.Event()
@@ -253,15 +248,11 @@ class SamplerService:
         every front-door strategy uses.
     backend:
         The stacked substrate batches execute on: ``"classes"``
-        (default — the ``O(ν)`` compression, any scale), ``"ragged"``
-        (the CSR class packing: mixed-``ν``, mixed-schedule traffic
-        pools into **one** group per flush instead of one group per
-        shape), ``"auto"`` (``classes``; when
-        :attr:`repro.config.NumericsConfig.ragged_fill_threshold` is
-        positive, auto traffic pools into the ragged group instead), or
-        the explicit ``(B, N, 2)`` dense references ``"subspace"`` /
-        ``"synced"``.  Live snapshots run on the class substrates — an
-        explicit ``"subspace"``/``"synced"`` service therefore rejects
+        (default — the CSR-packed ``O(ν)`` compression, any scale),
+        ``"auto"`` (``classes``), or the explicit ``(B, N, 2)`` dense
+        references ``"subspace"`` / ``"synced"``.  Live snapshots run
+        on the class substrate — an explicit
+        ``"subspace"``/``"synced"`` service therefore rejects
         :meth:`submit_live` (the front-door planner raises the matching
         :class:`PlanningError`).
 
@@ -380,14 +371,14 @@ class SamplerService:
         updates keep streaming.  (The first ``class_state()`` call on a
         stream builds the view once; prime it before heavy traffic.)
         """
-        if self._backend not in (AUTO_STACKED_BACKEND, "classes", "ragged"):
+        if self._backend not in (AUTO_STACKED_BACKEND, "classes"):
             # Mirror the front-door planner: a stream snapshot cannot run
             # on an explicitly pinned dense substrate — reject loudly
             # instead of silently substituting classes.
             raise ValidationError(
                 f"backend {self._backend!r} cannot execute a live snapshot; "
-                "live requests run on a class substrate — construct the "
-                "service with backend='auto', 'classes' or 'ragged'"
+                "live requests run on the class substrate — construct the "
+                "service with backend='auto' or 'classes'"
             )
         db = stream.database
         snapshot = ClassInstance.from_class_state(
@@ -533,12 +524,8 @@ class SamplerService:
         """Materialize the request; queue it under (backend, schedule shape).
 
         Every request of a service runs its one class or dense
-        substrate (``"auto"`` is ``classes``).  Class-substrate traffic
-        pools into the single shape-free ragged group when the service
-        is pinned to ``"ragged"`` or, on ``"auto"``, the live
-        :attr:`~repro.config.NumericsConfig.ragged_fill_threshold` is
-        positive — mixed shapes then fill one tensor instead of
-        fragmenting across per-shape groups.
+        substrate (``"auto"`` is ``classes``); requests of one schedule
+        shape share a group whatever their ``ν``.
         """
         try:
             with span("build", parent=request.trace_ctx, label=request.label):
@@ -554,18 +541,7 @@ class SamplerService:
             _finish_trace(request, error)
             self._stats.record_failure()
             return
-        backend = self._substrate
-        if self._backend == AUTO_STACKED_BACKEND and CONFIG.ragged_fill_threshold > 0:
-            # Mirrors the engine's auto-only reroute: an explicit
-            # "classes" pin keeps its label and per-shape groups.
-            backend = "ragged"
-        request._backend = backend
-        if backend == "ragged":
-            # Mixed schedule shapes execute together under the masked
-            # loop — one pooled group, no per-shape fragmentation.
-            self._packer.add(("ragged", None, None), request)
-        else:
-            self._packer.add((backend, plan.grover_reps, plan.needs_final), request)
+        self._packer.add((self._substrate, plan.grover_reps, plan.needs_final), request)
 
     def _flush_ready(self) -> None:
         for batch in self._packer.pop_ready():
@@ -584,18 +560,7 @@ class SamplerService:
                 batch=len(batch),
                 trace_ids=[r.trace_ctx.trace_id for r in batch if r.trace_ctx],
             )
-        backend = batch[0]._backend or "classes"
-        widths = [
-            request._instance.universe
-            if backend in ("subspace", "synced")
-            else request._instance.nu + 1
-            for request in batch
-        ]
-        self._stats.record_batch(
-            len(batch),
-            self._packer.batch_size,
-            padding_cells=padding_cells(backend, widths),
-        )
+        self._stats.record_batch(len(batch), self._packer.batch_size)
         self._executor.submit(self._execute_batch, batch)
 
     def _execute_batch(self, batch: list[ServedRequest]) -> None:
@@ -604,7 +569,7 @@ class SamplerService:
             with span(
                 "execute",
                 parent=batch[0].trace_ctx,
-                backend=batch[0]._backend or "classes",
+                backend=self._substrate,
                 batch=len(batch),
                 trace_ids=trace_ids,
             ):
@@ -613,8 +578,7 @@ class SamplerService:
                     model=self._model,
                     include_probabilities=self._include_probabilities,
                     skip_zero_capacity=self._skip_zero_capacity,
-                    # The packer groups by backend, so one name covers the batch.
-                    backend=batch[0]._backend or "classes",
+                    backend=self._substrate,
                 )
         except BaseException as error:
             for request in batch:

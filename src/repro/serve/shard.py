@@ -4,7 +4,7 @@
 :class:`~repro.serve.service.SamplerService` across worker *processes*:
 ``shards`` workers each run the full pack → build → execute loop
 (:class:`~repro.serve.packer.ShapePacker` +
-:func:`~repro.batch.engine.execute_group_local`) on their own slice of
+:func:`~repro.batch.engine.execute_class_batch`) on their own slice of
 the request stream, so database materialization and the stacked
 amplification kernels — the two CPU-bound halves of serving — run on
 real cores instead of sharing one GIL.
@@ -16,15 +16,13 @@ The moving parts:
   determines its schedule shape without building anything) with a stable
   CRC-32, so repeats of one workload shape always land on the same
   shard and its packer fills whole same-shape batches instead of ``1/n``
-  fragments on every shard; ragged-pooled class traffic collapses its
-  key to the substrate alone, so a heterogeneous mixed-``ν`` trickle
-  converges on one shard's CSR-packed groups instead of fragmenting;
+  fragments on every shard;
 * **zero-copy result handoff** — each worker owns a
   :class:`~repro.serve.shm.ShmArena`; finished batches come back as a
   small pickled control message (indices, rows, plain-scalar meta, an
   :class:`~repro.serve.shm.ShmBlock` handle + array layout) while the
-  stacked ``(B, ν+1, 2)`` / ``(B, N, 2)`` payload crosses through shared
-  memory.  The dispatcher rebuilds full
+  CSR class planes (or the ``(B, N, 2)`` dense payload) cross through
+  shared memory.  The dispatcher rebuilds full
   :class:`~repro.core.result.SamplingResult` objects
   (:func:`~repro.batch.engine.unpack_group_results` — copies the
   aliased arrays), then sends a ``release`` so the worker's arena
@@ -41,8 +39,9 @@ The moving parts:
   :class:`~repro.serve.service.SamplerService` contract, and workers
   build from ``spec.build(rng=seed)`` — so a sharded stream reproduces
   the unsharded service's rows for the same requests and seeds
-  regardless of shard count (regression-tested at 1e-12 by
-  ``benchmarks/bench_e26_sharded_serving.py``).
+  regardless of shard count (regression-tested by
+  ``benchmarks/bench_e26_sharded_serving.py`` and, with ``==`` on every
+  row value, by ``tests/serve/test_shard.py``).
 
 Telemetry aggregates per-shard :class:`~repro.serve.stats.ServiceStats`
 (:meth:`ServiceStats.aggregate`) plus the tier counters:
@@ -76,7 +75,7 @@ from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, default_row
 from ..batch.engine import (
     ClassInstance,
     cached_plan,
-    execute_group_local,
+    execute_class_batch,
     pack_group_results,
     unpack_group_results,
 )
@@ -97,7 +96,7 @@ from .service import (
     _open_trace,
 )
 from .shm import ArenaClient, ShmArena, arrays_nbytes, read_arrays, write_arrays
-from .stats import ServiceStats, padding_cells
+from .stats import ServiceStats
 
 
 def shard_for(affinity_key: str, shards: int) -> int:
@@ -110,7 +109,6 @@ def _affinity(
     label: str,
     backend: str | None,
     fault_mask: tuple[int, ...] | None = None,
-    pooled: bool = False,
 ) -> str:
     """Everything that pins a request's schedule shape, sans building.
 
@@ -121,16 +119,8 @@ def _affinity(
     a shape's whole stream on one shard — its packer then flushes full
     batches where a round-robin split would flush ``1/shards`` fragments
     everywhere.
-
-    ``pooled`` requests (ragged class traffic) drop the recipe and ``ν``
-    from the key: the CSR substrate packs *mixed* shapes into one
-    tensor, so spreading a heterogeneous trickle across shards would
-    only re-fragment what the ragged group exists to pool.  The fault
-    mask stays — degraded topologies still batch apart.
     """
     mask = "" if fault_mask is None else f"|mask={','.join(map(str, fault_mask))}"
-    if pooled:
-        return f"ragged|{backend}{mask}"
     if spec is None:
         return f"live:{label}:{backend}"
     return f"{spec.label()}|{spec.strategy}|{spec.nu}|{backend}{mask}"
@@ -194,9 +184,6 @@ def _worker_prepare(work: _Work, config: dict) -> tuple:
             tracer.finish(build_span)
     plan = cached_plan(work.instance.overlap())
     backend = work.backend = config["substrate"]
-    if backend == "ragged":
-        # One shape-free pooled group: mixed schedules run the masked loop.
-        return ("ragged", None, None)
     return (backend, plan.grover_reps, plan.needs_final)
 
 
@@ -232,13 +219,12 @@ def _worker_execute(conn, arena: ShmArena, config: dict, batch: list[_Work]) -> 
         else None
     )
     try:
-        results = execute_group_local(
+        results = execute_class_batch(
             [work.instance for work in batch],
             model=config["model"],
             include_probabilities=config["include_probabilities"],
             skip_zero_capacity=config["skip_zero_capacity"],
             backend=batch[0].backend,
-            request_ids=[work.index for work in batch],
         )
     except BaseException as error:
         if exec_span is not None:
@@ -274,13 +260,7 @@ def _worker_execute(conn, arena: ShmArena, config: dict, batch: list[_Work]) -> 
     )
     block = None
     try:
-        # A ragged group crosses the arena as the same CSR planes it
-        # executed in: one values plane, one multiplicity plane, one
-        # offsets array — not 2B per-instance fragments.
-        meta, arrays = pack_group_results(
-            [result for _, result, _ in shipped],
-            ragged=batch[0].backend == "ragged",
-        )
+        meta, arrays = pack_group_results([result for _, result, _ in shipped])
         block = arena.alloc(arrays_nbytes(arrays))
     except ValidationError:
         meta = None  # unmarshalable substrate: whole-result pickle below
@@ -416,11 +396,6 @@ class ShardedSamplerService:
         self._model = require_model(model)
         skip = skip_zero_capacity_for(capacity)
         substrate = resolve_stacked_name(backend, self._model)
-        if backend == AUTO_STACKED_BACKEND and CONFIG.ragged_fill_threshold > 0:
-            # Captured at construction (workers fork with it): on "auto",
-            # the live config's ragged_fill_threshold pools class traffic
-            # into shape-free ragged groups, as a "ragged" pin does.
-            substrate = "ragged"
         self._backend = backend
         self._row_fn = row_fn
         self._clock = clock
@@ -540,11 +515,11 @@ class ShardedSamplerService:
         marshalling is off the hot path; only results come back through
         shared memory.
         """
-        if self._backend not in (AUTO_STACKED_BACKEND, "classes", "ragged"):
+        if self._backend not in (AUTO_STACKED_BACKEND, "classes"):
             raise ValidationError(
                 f"backend {self._backend!r} cannot execute a live snapshot; "
-                "live requests run on a class substrate — construct the "
-                "service with backend='auto', 'classes' or 'ragged'"
+                "live requests run on the class substrate — construct the "
+                "service with backend='auto' or 'classes'"
             )
         db = stream.database
         snapshot = ClassInstance.from_class_state(
@@ -569,13 +544,7 @@ class ShardedSamplerService:
 
     def _route(self, request: ServedRequest, instance, retries: int = 0) -> None:
         shard_id = shard_for(
-            _affinity(
-                request.spec,
-                request.label,
-                self._backend,
-                request.fault_mask,
-                pooled=self._config["substrate"] == "ragged",
-            ),
+            _affinity(request.spec, request.label, self._backend, request.fault_mask),
             self._n_shards,
         )
         # ``retries`` stays LAST: the death handler re-queues with
@@ -764,16 +733,7 @@ class ShardedSamplerService:
                 self._done.notify_all()
 
     def _fulfill(self, shard_id, shard, entries, results, size) -> None:
-        backend = results[0].backend if results else "classes"
-        widths = [
-            int(result.public_parameters["N"])
-            if backend in ("subspace", "synced")
-            else int(result.public_parameters["nu"]) + 1
-            for result in results
-        ]
-        self._shard_stats[shard_id].record_batch(
-            size, self._batch_size, padding_cells=padding_cells(backend, widths)
-        )
+        self._shard_stats[shard_id].record_batch(size, self._batch_size)
         completed_at = self._clock()
         for (index, row), result in zip(entries, results):
             with self._done:

@@ -2,9 +2,9 @@
 
 The sharded serving tier (:mod:`repro.serve.shard`) runs the
 pack→build→execute loop in worker processes.  A finished batch's payload
-is a handful of numpy arrays — the flattened per-instance final-state
-amplitudes cut from the ``(B, ν+1, 2)`` / ``(B, N, 2)`` stacked tensor,
-fidelities, class multiplicities — and pickling those through a pipe
+is a handful of numpy arrays — the final-state amplitudes cut from the
+CSR class planes or the ``(B, N, 2)`` dense tensor, class maps and
+multiplicities — and pickling those through a pipe
 would copy every byte twice (serialize + deserialize) on the serving hot
 path.  Instead each worker owns one
 :class:`multiprocessing.shared_memory.SharedMemory` segment managed by a

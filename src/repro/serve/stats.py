@@ -24,12 +24,6 @@ plain-scalar dict ready for report tables and JSON artifacts:
     a healthy full-load service keeps the whole histogram near 1.0,
     while trickle load shows a low ``fill_p10`` under a
     still-respectable mean.
-``padding_cells``
-    Total stacked-tensor cells wasted on shape padding across executed
-    batches (``Σ_batch (B·max(w) − Σ w)`` over each batch's per-instance
-    widths).  Ragged batches contribute zero — that is the point of the
-    CSR packing; a high count on a mixed-shape stream is the signal to
-    enable it (:attr:`repro.config.NumericsConfig.ragged_fill_threshold`).
 ``p50_latency`` / ``p99_latency``
     Submit-to-completion percentiles over a bounded window of recent
     requests (:data:`LATENCY_WINDOW`), so a long-lived service reports
@@ -61,19 +55,6 @@ LATENCY_WINDOW = 10_000
 FILL_WINDOW = 10_000
 
 
-def padding_cells(backend: str, widths: Sequence[int]) -> int:
-    """Stacked cells one batch wastes on padding: ``B·max(w) − Σw``.
-
-    ``widths`` are the per-instance padded-axis sizes (``ν_b + 1`` for
-    the class substrates, ``N_b`` for the dense ones).  The ``ragged``
-    substrate packs without padding, so its batches always report zero.
-    """
-    if backend == "ragged" or not widths:
-        return 0
-    sizes = [int(w) for w in widths]
-    return len(sizes) * max(sizes) - sum(sizes)
-
-
 class ServiceStats:
     """Thread-safe counters for one :class:`~repro.serve.SamplerService`."""
 
@@ -87,7 +68,6 @@ class ServiceStats:
         self._batches = 0
         self._batched_instances = 0
         self._fill_target_sum = 0
-        self._padding_cells = 0
         self._fills: deque[float] = deque(maxlen=FILL_WINDOW)
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._sequential_queries = 0
@@ -105,22 +85,15 @@ class ServiceStats:
                 self._first_submit = self._clock()
         METRICS.counter("serve.submitted").inc()
 
-    def record_batch(self, size: int, target: int, padding_cells: int = 0) -> None:
-        """One packed batch handed to the worker pool.
-
-        ``padding_cells`` is the batch's stacked-tensor padding waste
-        (see :func:`padding_cells`); ragged batches report zero.
-        """
+    def record_batch(self, size: int, target: int) -> None:
+        """One packed batch handed to the worker pool."""
         with self._lock:
             self._batches += 1
             self._batched_instances += size
             self._fill_target_sum += max(target, 1)
-            self._padding_cells += int(padding_cells)
             self._fills.append(size / max(target, 1))
         METRICS.counter("serve.batches").inc()
         METRICS.histogram("serve.batch_fill").observe(size / max(target, 1))
-        if padding_cells:
-            METRICS.counter("serve.padding_cells").inc(int(padding_cells))
 
     def record_complete(self, latency: float, result) -> None:
         """One request finished; ``result`` is its :class:`SamplingResult`."""
@@ -181,7 +154,6 @@ class ServiceStats:
             "fill_p10": percentile(fills, 0.10),
             "fill_p50": percentile(fills, 0.50),
             "fill_p90": percentile(fills, 0.90),
-            "padding_cells": self._padding_cells,
             "mean_batch_size": (
                 self._batched_instances / self._batches if self._batches else 0.0
             ),
@@ -202,13 +174,17 @@ class ServiceStats:
         Counters and ledger totals sum; fill is re-weighted over the
         combined capacity (``Σ size / Σ target`` across shards, so a
         busy shard counts by its share); latency and fill percentiles
-        pool the shards' bounded windows; the busy span runs from the
+        pool every shard's whole window; the busy span runs from the
         earliest first submission to the latest completion, so
         ``instances_per_sec`` is the tier's sustained rate, not a sum
         of per-shard rates over disjoint spans.  Per-shard snapshots
         ride along under ``"per_shard"`` (shard order preserved).
         """
         merged = ServiceStats()
+        # Unbounded pools: a capped window would evict all but the last
+        # shards' entries once the windows together exceed the cap.
+        merged._fills = deque()
+        merged._latencies = deque()
         snapshots: list[dict[str, object]] = []
         for stats in per_shard:
             with stats._lock:
@@ -220,7 +196,6 @@ class ServiceStats:
                 merged._batches += stats._batches
                 merged._batched_instances += stats._batched_instances
                 merged._fill_target_sum += stats._fill_target_sum
-                merged._padding_cells += stats._padding_cells
                 merged._fills.extend(stats._fills)
                 merged._latencies.extend(stats._latencies)
                 merged._sequential_queries += stats._sequential_queries

@@ -7,8 +7,8 @@ any universe size.  Two families of checks pin that rule:
 * a timing-free property grid over model × N: every site that resolves
   ``"auto"`` — the planner per instance and for the stacked, fanout and
   served strategies, the batch engine, the in-process serving dispatcher
-  and the sharded tier's workers — yields ``classes``, and ``ragged``
-  appears only through the ``CONFIG.ragged_fill_threshold`` reroute;
+  and the sharded tier's workers — yields ``classes``, mixed-ν batches
+  included;
 * memory budgets in the style of falkon's ``memory_checker``: a default
   request batch runs under a declared ``tracemalloc`` peak, where the
   dense layouts ``auto`` used to pick needed gigabytes.
@@ -26,8 +26,8 @@ import repro
 from repro.analysis import InstanceSpec
 from repro.api import STACK_THRESHOLD, Planner, SamplingRequest
 from repro.batch import ClassInstance, execute_class_batch, resolve_stacked_name
-from repro.config import CONFIG
 from repro.database import WorkloadSpec
+from repro.errors import PlanningError, ValidationError
 from repro.serve import SamplerService, ShardedSamplerService
 from repro.serve.shard import _Work, _worker_prepare
 
@@ -51,16 +51,6 @@ def instance_of(universe: int, nu: int = 1) -> ClassInstance:
     return ClassInstance(
         joints=joints, nu=nu, n_machines=2, total=int(joints.sum())
     )
-
-
-@contextmanager
-def fill_threshold(value: float):
-    before = CONFIG.ragged_fill_threshold
-    CONFIG.ragged_fill_threshold = value
-    try:
-        yield
-    finally:
-        CONFIG.ragged_fill_threshold = before
 
 
 @pytest.fixture(scope="module", params=MODELS)
@@ -112,63 +102,34 @@ class TestEveryResolutionSite:
         assert key[0] == work.backend == "classes"
 
 
-class TestRaggedOnlyThroughTheFillThreshold:
-    """The one way ``auto`` lands on ``ragged``: an armed fill threshold."""
-
-    def heterogeneous(self) -> list[ClassInstance]:
-        return [instance_of(64, nu=1), instance_of(64, nu=9)]
-
+class TestHeterogeneousBatches:
     @pytest.mark.parametrize("model", MODELS)
-    def test_disarmed_threshold_never_reroutes(self, model):
-        with fill_threshold(0.0):
-            results = execute_class_batch(
-                self.heterogeneous(),
-                model=model,
-                include_probabilities=False,
-                backend="auto",
-            )
+    def test_mixed_nu_auto_batch_runs_classes(self, model):
+        results = execute_class_batch(
+            [instance_of(64, nu=1), instance_of(64, nu=9)],
+            model=model,
+            include_probabilities=False,
+            backend="auto",
+        )
         assert {r.backend for r in results} == {"classes"}
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_armed_threshold_reroutes_the_engine_and_both_tiers(self, model):
-        with fill_threshold(0.95):
-            results = execute_class_batch(
-                self.heterogeneous(),
-                model=model,
-                include_probabilities=False,
-                backend="auto",
-            )
-            homogeneous = execute_class_batch(
-                [instance_of(64)] * 2,
-                model=model,
-                include_probabilities=False,
-                backend="auto",
-            )
-            with SamplerService(
-                model=model, backend="auto", batch_size=1, flush_deadline=0.001
-            ) as service:
-                served = service.submit(spec_of(512), seed=1).result(timeout=WAIT)
-            sharded = ShardedSamplerService(shards=1, model=model, backend="auto")
-            try:
-                substrate = sharded._config["substrate"]
-            finally:
-                sharded.close()
-            # The planner never reroutes: the engine and tiers decide.
-            plan = Planner().plan(
-                SamplingRequest(spec=spec_of(512), model=model), strategy="stacked"
-            )
-        assert {r.backend for r in results} == {"ragged"}
-        assert {r.backend for r in homogeneous} == {"classes"}
-        assert served.backend == "ragged"
-        assert substrate == "ragged"
-        assert plan.backends() == ("classes",)
 
-    def test_explicit_classes_is_never_rerouted(self):
-        with fill_threshold(0.95):
-            results = execute_class_batch(
-                self.heterogeneous(), include_probabilities=False, backend="classes"
-            )
-        assert {r.backend for r in results} == {"classes"}
+class TestRaggedNameIsGone:
+    """``classes`` is the one CSR class stack; the old opt-in name fails
+    loudly at the planner and the serving dispatcher."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_planner_rejects_ragged(self, model):
+        request = SamplingRequest(spec=spec_of(64), model=model, backend="ragged")
+        with pytest.raises(PlanningError, match="'ragged'"):
+            Planner().plan(request)
+        with pytest.raises(PlanningError, match="not stackable"):
+            Planner().plan(request, strategy="stacked")
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_serving_dispatcher_rejects_ragged(self, model):
+        with pytest.raises(ValidationError, match="unknown stacked backend 'ragged'"):
+            SamplerService(model=model, backend="ragged")
 
 
 @contextmanager

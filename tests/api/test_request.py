@@ -77,12 +77,6 @@ class TestErrorsHierarchy:
 
 
 class TestPlanningViews:
-    def test_planning_universe(self, small_db):
-        assert SamplingRequest(database=small_db).planning_universe() == 8
-        assert SamplingRequest(spec=spec_of(universe=512)).planning_universe() == 512
-        stream = UpdateStream(small_db, [])
-        assert SamplingRequest(stream=stream).planning_universe() == 8
-
     def test_labels(self, small_db):
         spec = spec_of()
         assert SamplingRequest(spec=spec).resolved_label() == spec.label()

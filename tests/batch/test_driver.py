@@ -57,16 +57,11 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_batch_size_does_not_change_rows(self):
-        # Packing width can shift float reductions by an ulp (NumPy's
-        # pairwise summation blocks differently per row length), so
-        # fidelity is compared to 1e-12 and everything else exactly.
+        # Every class segment reduces over its own width, so packing
+        # never changes a row — fidelity included.
         a = run_batched(specs(), rng=7, batch_size=2)
         b = run_batched(specs(), rng=7, batch_size=DEFAULT_BATCH_SIZE)
-        for row_a, row_b in zip(a.rows, b.rows):
-            assert row_a["fidelity"] == pytest.approx(row_b["fidelity"], abs=1e-12)
-            scalar_a = {k: v for k, v in row_a.items() if k != "fidelity"}
-            scalar_b = {k: v for k, v in row_b.items() if k != "fidelity"}
-            assert scalar_a == scalar_b
+        assert a.rows == b.rows
 
     def test_jobs_do_not_change_rows(self):
         a = run_batched(specs(), rng=7, batch_size=2)

@@ -1,24 +1,26 @@
-"""Shard-local execution + cross-process result marshalling.
+"""Cross-process result marshalling for the sharded serving tier.
 
-``execute_group_local`` must be observationally identical to
-``execute_class_batch`` for a pre-packed shape group, and a
-pack → (shared memory) → unpack round trip must rebuild results
+A pack → (shared memory) → unpack round trip must rebuild results
 indistinguishable from the in-process originals — same plan object,
-same ledger totals, same schedule fingerprint, same final state.
+same ledger totals, same schedule fingerprint, same final state — with
+class states crossing as one CSR triple per group.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.batch import ClassInstance, execute_class_batch
+from repro.batch import ClassInstance, engine, execute_class_batch
+from repro.batch.backends import StackedClassBackend
 from repro.batch.engine import (
     cached_plan,
-    execute_group_local,
     pack_group_results,
     unpack_group_results,
 )
-from repro.errors import ValidationError
 from repro.database import DistributedDatabase
+from repro.errors import ValidationError
+from repro.qsim import ClassVector
 from repro.serve.shm import ArenaClient, ShmArena, arrays_nbytes, read_arrays, write_arrays
 from repro.utils.rng import as_generator
 
@@ -74,112 +76,107 @@ def assert_results_match(rebuilt, original):
             )
 
 
-class TestExecuteGroupLocal:
-    @pytest.mark.parametrize("model", ["sequential", "parallel"])
-    def test_matches_execute_class_batch(self, model):
-        rng = as_generator(7)
-        instances = shape_group(rng, 5, model)
-        direct = execute_class_batch(
-            instances, model=model, include_probabilities=True, backend="classes"
-        )
-        local = execute_group_local(
-            instances, model=model, include_probabilities=True, backend="classes"
-        )
-        assert_results_match(local, direct)
-        for ours, ref in zip(local, direct):
-            np.testing.assert_array_equal(
-                ours.final_state.class_amplitudes(),
-                ref.final_state.class_amplitudes(),
-            )
+#: Every registered stacked backend, per model.
+STACKED_BACKENDS = [
+    ("sequential", "classes"),
+    ("sequential", "subspace"),
+    ("parallel", "classes"),
+    ("parallel", "synced"),
+]
 
-    def test_subspace_group_matches(self):
-        rng = as_generator(11)
-        instances = shape_group(rng, 4)
-        direct = execute_class_batch(
-            instances, model="sequential", backend="subspace",
-            include_probabilities=True,
-        )
-        local = execute_group_local(
-            instances, model="sequential", backend="subspace",
-            include_probabilities=True,
-        )
-        assert_results_match(local, direct)
 
-    def test_mixed_shapes_rejected(self):
-        rng = as_generator(13)
-        instances = [ClassInstance.from_db(random_database(rng)) for _ in range(12)]
-        shapes = {
-            (p.grover_reps, p.needs_final)
-            for p in (cached_plan(i.overlap()) for i in instances)
-        }
-        assert len(shapes) > 1  # the seed spans several schedule shapes
-        with pytest.raises(ValidationError, match="schedule-shape"):
-            execute_group_local(instances, model="sequential", backend="classes")
+def mixed_shape_instances(seed=13, size=12):
+    """Instances spanning several schedule shapes (and ν, N, n)."""
+    rng = as_generator(seed)
+    instances = [ClassInstance.from_db(random_database(rng)) for _ in range(size)]
+    shapes = {
+        (p.grover_reps, p.needs_final)
+        for p in (cached_plan(i.overlap()) for i in instances)
+    }
+    assert len(shapes) > 1  # the seed spans several schedule shapes
+    return instances
 
-    def test_mixed_shapes_error_names_request_id(self):
-        # Satellite (b): with request ids the error blames the request,
-        # not an opaque batch index.
-        rng = as_generator(13)
-        instances = [ClassInstance.from_db(random_database(rng)) for _ in range(12)]
-        shapes = [
-            (p.grover_reps, p.needs_final)
-            for p in (cached_plan(i.overlap()) for i in instances)
-        ]
-        offender = next(b for b, s in enumerate(shapes) if s != shapes[0])
-        ids = [f"req-{b:03d}" for b in range(len(instances))]
-        with pytest.raises(ValidationError, match=f"request 'req-{offender:03d}'"):
-            execute_group_local(
-                instances, model="sequential", backend="classes", request_ids=ids
-            )
 
-    @pytest.mark.parametrize("model", ["sequential", "parallel"])
-    def test_ragged_group_accepts_mixed_shapes(self, model):
-        # The same seed the rejection test uses: on the ragged backend the
-        # mixed-shape group runs, and every row is bit-identical to that
-        # instance's own single-instance stacked-classes execution.
-        rng = as_generator(13)
-        instances = [ClassInstance.from_db(random_database(rng)) for _ in range(8)]
-        shapes = {
-            (p.grover_reps, p.needs_final)
-            for p in (cached_plan(i.overlap()) for i in instances)
-        }
-        assert len(shapes) > 1
-        results = execute_group_local(
-            instances, model=model, include_probabilities=True, backend="ragged"
+def final_amplitudes(result):
+    state = result.final_state
+    if isinstance(state, ClassVector):
+        return state.class_amplitudes()
+    return state.as_array()
+
+
+class TestExecuteClassBatch:
+    """The entry shard workers run their packers' shape groups through."""
+
+    @pytest.mark.parametrize("model,backend", STACKED_BACKENDS)
+    def test_mixed_shapes_regroup_per_shape(self, model, backend):
+        # No backend runs mixed schedules in one loop, so a mixed list
+        # splits into shape groups; rows come back in input order, each
+        # equal to the instance's own run on the same backend.
+        instances = mixed_shape_instances()
+        results = execute_class_batch(
+            instances, model=model, include_probabilities=True, backend=backend
         )
         for inst, ours in zip(instances, results):
-            [ref] = execute_group_local(
-                [inst], model=model, include_probabilities=True, backend="classes"
+            [ref] = execute_class_batch(
+                [inst], model=model, include_probabilities=True, backend=backend
             )
-            assert ours.backend == "ragged"
-            assert ours.fidelity == ref.fidelity
-            np.testing.assert_array_equal(
-                ours.output_probabilities, ref.output_probabilities
-            )
-            np.testing.assert_array_equal(
-                ours.final_state.class_amplitudes(),
-                ref.final_state.class_amplitudes(),
-            )
-            assert ours.ledger.summary() == ref.ledger.summary()
-            assert ours.schedule.fingerprint() == ref.schedule.fingerprint()
+            assert ours.backend == backend
+            assert ours.public_parameters == inst.public_parameters()
+            assert_results_match([ours], [ref])
+            np.testing.assert_array_equal(final_amplitudes(ours), final_amplitudes(ref))
 
-    def test_auto_backend_rejected(self):
-        rng = as_generator(3)
-        instances = shape_group(rng, 2)
-        with pytest.raises(ValidationError):
-            execute_group_local(instances, backend="auto")
+    def test_size_limited_blocks_keep_every_row(self, monkeypatch):
+        # A backend's group_size_limit splits a shape group into blocks
+        # that run back to back; no row may depend on the split.
+        instances = shape_group(as_generator(17), 5)
+        whole = execute_class_batch(instances, include_probabilities=True)
+        blocks = []
+        run_group = engine._run_group
 
-    def test_empty_group(self):
-        assert execute_group_local([], model="sequential") == []
+        def recording_run_group(block, *args):
+            blocks.append(len(block))
+            return run_group(block, *args)
+
+        monkeypatch.setattr(engine, "_run_group", recording_run_group)
+        monkeypatch.setattr(
+            StackedClassBackend, "group_size_limit", classmethod(lambda cls, insts: 2)
+        )
+        blocked = execute_class_batch(instances, include_probabilities=True)
+        assert blocks == [2, 2, 1]
+        assert_results_match(blocked, whole)
+        for ours, ref in zip(blocked, whole):
+            np.testing.assert_array_equal(final_amplitudes(ours), final_amplitudes(ref))
+
+    def test_unknown_backend_rejected(self):
+        instances = shape_group(as_generator(3), 2)
+        with pytest.raises(ValidationError, match="unknown stacked backend 'ragged'"):
+            execute_class_batch(instances, backend="ragged")
+
+    def test_unknown_model_rejected(self):
+        instances = shape_group(as_generator(3), 2)
+        with pytest.raises(ValidationError, match="unknown model"):
+            execute_class_batch(instances, model="adiabatic")
 
 
 class TestPackUnpack:
+    def test_empty_group_round_trips(self):
+        meta, arrays = pack_group_results([])
+        assert meta == [] and arrays == {}
+        assert unpack_group_results(meta, arrays, "sequential", False) == []
+
+    def test_unknown_final_state_type_is_refused(self):
+        # The shard worker pickles the whole batch when packing refuses.
+        [result] = execute_class_batch(shape_group(as_generator(5), 1))
+        foreign = dataclasses.replace(result, final_state=object())
+        with pytest.raises(ValidationError, match="cannot marshal"):
+            pack_group_results([foreign])
+
     @pytest.mark.parametrize("model", ["sequential", "parallel"])
     @pytest.mark.parametrize("include_probabilities", [False, True])
     def test_classes_round_trip(self, model, include_probabilities):
         rng = as_generator(23)
         instances = shape_group(rng, 4, model)
-        original = execute_group_local(
+        original = execute_class_batch(
             instances,
             model=model,
             include_probabilities=include_probabilities,
@@ -201,7 +198,7 @@ class TestPackUnpack:
     def test_dense_round_trip(self):
         rng = as_generator(29)
         instances = shape_group(rng, 3)
-        original = execute_group_local(
+        original = execute_class_batch(
             instances, model="sequential", include_probabilities=True,
             backend="subspace",
         )
@@ -215,19 +212,22 @@ class TestPackUnpack:
             assert tuple(ours.final_state.layout.names) == ("i", "w")
 
     @pytest.mark.parametrize("model", ["sequential", "parallel"])
-    def test_ragged_round_trip(self, model):
+    def test_classes_cross_as_one_csr_triple(self, model):
         # CSR wire format: one shared offsets/sizes/values plane instead
-        # of per-instance class arrays.
+        # of per-instance class arrays, mixed ν included.
         rng = as_generator(37)
         instances = [ClassInstance.from_db(random_database(rng)) for _ in range(5)]
-        original = execute_group_local(
-            instances, model=model, include_probabilities=True, backend="ragged"
+        assert len({inst.nu for inst in instances}) > 1
+        original = execute_class_batch(
+            instances, model=model, include_probabilities=True, backend="classes"
         )
-        meta, arrays = pack_group_results(original, ragged=True)
-        assert {"ro", "rcs", "rv"} <= set(arrays)
+        meta, arrays = pack_group_results(original)
+        offsets, sizes, values = (
+            arrays["class_offsets"], arrays["class_sizes"], arrays["class_values"]
+        )
         assert not any(k.startswith(("cs", "amps")) for k in arrays)
-        assert arrays["ro"].dtype == np.int64 and arrays["ro"].size == 6
-        assert arrays["ro"][-1] == arrays["rv"].shape[0] == arrays["rcs"].shape[0]
+        assert offsets.dtype == np.int64 and offsets.size == 6
+        assert offsets[-1] == values.shape[0] == sizes.shape[0]
         rebuilt = unpack_group_results(meta, arrays, model, False)
         assert_results_match(rebuilt, original)
         for ours, ref in zip(rebuilt, original):
@@ -241,7 +241,7 @@ class TestPackUnpack:
         # format must rebuild it, not fall back to the (i, w) default.
         rng = as_generator(41)
         instances = shape_group(rng, 3, "parallel")
-        original = execute_group_local(
+        original = execute_class_batch(
             instances, model="parallel", include_probabilities=True,
             backend="synced",
         )
@@ -256,18 +256,18 @@ class TestPackUnpack:
                 ours.final_state.as_array(), ref.final_state.as_array()
             )
 
-    def test_ragged_round_trip_through_shared_memory(self):
+    def test_mixed_nu_round_trip_through_shared_memory(self):
         # The CSR planes (including the int64 offsets) over the real shm
-        # wire, mixed schedule shapes included.
+        # wire, mixed ν and schedule shapes included.
         rng = as_generator(43)
         instances = [ClassInstance.from_db(random_database(rng)) for _ in range(6)]
-        original = execute_group_local(
+        original = execute_class_batch(
             instances, model="sequential", include_probabilities=True,
-            backend="ragged",
+            backend="classes",
         )
-        meta, arrays = pack_group_results(original, ragged=True)
+        meta, arrays = pack_group_results(original)
         client = ArenaClient()
-        with ShmArena("ragged-roundtrip", 1 << 20) as arena:
+        with ShmArena("csr-roundtrip", 1 << 20) as arena:
             block = arena.alloc(arrays_nbytes(arrays))
             layout = write_arrays(arena.payload(block), arrays)
             try:
@@ -291,7 +291,7 @@ class TestPackUnpack:
         counts[2, 6:10] = 1
         db = DistributedDatabase.from_count_matrix(counts, nu=4)
         inst = ClassInstance.from_db(db)
-        original = execute_group_local(
+        original = execute_class_batch(
             [inst], model="sequential", skip_zero_capacity=True, backend="classes"
         )
         meta, arrays = pack_group_results(original)
@@ -305,7 +305,7 @@ class TestPackUnpack:
         # results must not alias the (recycled) block.
         rng = as_generator(31)
         instances = shape_group(rng, 3)
-        original = execute_group_local(
+        original = execute_class_batch(
             instances, model="sequential", include_probabilities=True,
             backend="classes",
         )

@@ -147,8 +147,8 @@ class TestSyncedBitIdentity:
 
 class TestAutoResolution:
     def test_registry_names(self):
-        assert "subspace" in stacked_backend_names("sequential")
-        assert stacked_backend_names("parallel") == ("classes", "ragged", "synced")
+        assert stacked_backend_names("sequential") == ("classes", "subspace")
+        assert stacked_backend_names("parallel") == ("classes", "synced")
         with pytest.raises(ValidationError, match="unknown stacked backend"):
             execute_sampling_batch(
                 [random_database(as_generator(0))],

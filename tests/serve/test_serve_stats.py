@@ -4,7 +4,7 @@ import threading
 
 import repro.serve.stats as stats_module
 from repro.serve import ServiceStats
-from repro.serve.stats import padding_cells, percentile
+from repro.serve.stats import LATENCY_WINDOW, percentile
 
 
 class FakeClock:
@@ -113,22 +113,6 @@ class TestCounters:
         assert snap["fill_p50"] == 0.6
         assert snap["fill_p90"] == 1.0
 
-    def test_padding_cells_accumulate_across_batches(self):
-        stats = ServiceStats(clock=FakeClock())
-        stats.record_batch(3, target=4, padding_cells=7)
-        stats.record_batch(4, target=4, padding_cells=0)
-        stats.record_batch(2, target=4, padding_cells=5)
-        assert stats.snapshot()["padding_cells"] == 12
-
-    def test_padding_cells_helper(self):
-        # B·max(w) − Σw on the padded substrates; identically zero for
-        # ragged (no padded cells exist) and for empty batches.
-        assert padding_cells("classes", [5, 3, 5, 2]) == 5
-        assert padding_cells("subspace", [64, 64]) == 0
-        assert padding_cells("synced", [128, 17]) == 111
-        assert padding_cells("ragged", [5, 3, 5, 2]) == 0
-        assert padding_cells("classes", []) == 0
-
     def test_failures_reduce_queue_depth(self):
         stats = ServiceStats(clock=FakeClock())
         stats.record_submit()
@@ -153,8 +137,8 @@ class TestAggregate:
         clock_b.now = 1.0
         b.record_submit()
         b.record_submit()
-        a.record_batch(4, target=8, padding_cells=3)
-        b.record_batch(8, target=8, padding_cells=4)
+        a.record_batch(4, target=8)
+        b.record_batch(8, target=8)
         clock_a.now = 2.0
         a.record_complete(0.5, FakeResult(sequential_queries=6))
         clock_b.now = 4.0  # the tier's busy span ends here
@@ -168,7 +152,6 @@ class TestAggregate:
         assert view["exact"] == 1
         assert view["batches_executed"] == 2
         assert view["batch_fill_ratio"] == 12 / 16
-        assert view["padding_cells"] == 7
         assert view["sequential_queries"] == 10
         # span: earliest first submit (t=0, shard a) → latest completion
         # (t=4, shard b) → 2 completions / 4 s.
@@ -178,6 +161,37 @@ class TestAggregate:
         assert len(per_shard) == 2
         assert per_shard[0]["completed"] == 1
         assert per_shard[1]["failed"] == 1
+
+    def test_pools_every_shards_full_window(self):
+        # Two full windows, one slow shard and one fast: the pooled
+        # percentiles must see both, not just the last shard merged.
+        slow, fast = ServiceStats(clock=FakeClock()), ServiceStats(clock=FakeClock())
+        for _ in range(LATENCY_WINDOW):
+            slow.record_complete(1.0, FakeResult())
+            slow.record_batch(1, target=4)
+            fast.record_complete(0.001, FakeResult())
+            fast.record_batch(4, target=4)
+        view = ServiceStats.aggregate([slow, fast])
+        assert view["completed"] == 2 * LATENCY_WINDOW
+        assert view["p50_latency"] == 0.001
+        assert view["p99_latency"] == 1.0
+        assert view["max_latency"] == 1.0
+        assert view["fill_p10"] == 0.25
+        assert view["fill_p90"] == 1.0
+
+    def test_leaves_every_shard_untouched(self):
+        # Pooling copies the windows: each shard keeps its own capped
+        # window and snapshot.
+        slow, fast = ServiceStats(clock=FakeClock()), ServiceStats(clock=FakeClock())
+        for _ in range(LATENCY_WINDOW):
+            slow.record_complete(1.0, FakeResult())
+            fast.record_complete(0.001, FakeResult())
+        before = [slow.snapshot(), fast.snapshot()]
+        view = ServiceStats.aggregate([slow, fast])
+        assert view["per_shard"] == before
+        assert [slow.snapshot(), fast.snapshot()] == before
+        assert slow._latencies.maxlen == fast._latencies.maxlen == LATENCY_WINDOW
+        assert len(slow._latencies) == len(fast._latencies) == LATENCY_WINDOW
 
     def test_empty_aggregate(self):
         view = ServiceStats.aggregate([])

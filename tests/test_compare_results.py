@@ -118,26 +118,21 @@ class TestCompareMatrixPayloads:
         assert "E27" in compare_results.DEFAULT_EXPERIMENTS
 
 
-def fill_payload(fills, column="batch_fill_ratio"):
+def fill_payload(fills):
     return {
         "trajectory": [
-            {"scenario": name, column: fill} for name, fill in fills.items()
+            {"scenario": name, "batch_fill_ratio": fill}
+            for name, fill in fills.items()
         ]
     }
 
 
-class TestFillAndRaggedColumns:
+class TestFillColumn:
     def test_fills_are_extracted(self):
         fills = compare_results.extract_fills(
             fill_payload({"served-full-load": 0.95})
         )
         assert fills == {"served-full-load|batch_fill_ratio": 0.95}
-
-    def test_ragged_fill_column_is_extracted(self):
-        fills = compare_results.extract_fills(
-            fill_payload({"ragged/mixed-nu": 1.0}, column="ragged_fill")
-        )
-        assert fills == {"ragged/mixed-nu|ragged_fill": 1.0}
 
     def test_fill_drop_past_threshold_warns(self):
         base = fill_payload({"served": 1.0})
@@ -156,38 +151,29 @@ class TestFillAndRaggedColumns:
         base = fill_payload({"served": 1.0})
         assert compare_results.compare_payloads(base, {"trajectory": []}) == []
 
-    def test_ragged_metrics_are_extracted(self):
-        block = {
-            "ragged_trickle": {
-                "ragged_rate": 4000.0,
-                "speedup": 2.5,
-                "trickle_fill_ragged": 0.97,
-                "padded_rate": 1600.0,  # baseline column: not a gate, not diffed
-            }
+    def test_legacy_ragged_columns_are_not_diffed(self):
+        # Baselines archived before the CSR plane became `classes` still
+        # carry the E23 ragged_fill column and the E24 ragged_trickle
+        # block; neither is compared any more.
+        base = {
+            "trajectory": [{"family": "ragged/mixed-nu", "ragged_fill": 1.0}],
+            "ragged_trickle": {"ragged_rate": 4000.0, "speedup": 2.5},
         }
-        metrics = compare_results.extract_ragged_metrics(block)
-        assert metrics == {
-            "ragged_trickle.ragged_rate": 4000.0,
-            "ragged_trickle.speedup": 2.5,
-            "ragged_trickle.trickle_fill_ragged": 0.97,
+        cur = {
+            "trajectory": [{"family": "ragged/mixed-nu", "ragged_fill": 0.1}],
+            "ragged_trickle": {"ragged_rate": 100.0, "speedup": 0.1},
         }
-
-    def test_ragged_rate_drop_warns(self):
-        base = {"ragged_trickle": {"ragged_rate": 4000.0, "speedup": 2.5}}
-        cur = {"ragged_trickle": {"ragged_rate": 2000.0, "speedup": 2.4}}
-        warnings = compare_results.compare_payloads(base, cur)
-        assert len(warnings) == 1
-        assert "ragged-metric regression" in warnings[0]
-        assert "ragged_trickle.ragged_rate" in warnings[0]
+        assert compare_results.extract_fills(base) == {}
+        assert compare_results.compare_payloads(base, cur) == []
 
     def test_family_rows_get_stable_identities(self):
         # E23 trajectory rows key by family + model/backend cells
-        row = {"family": "ragged/mixed-nu/N2048", "model": "parallel",
-               "backend": "ragged", "ragged_fill": 1.0}
+        row = {"family": "mixed-nu/N2048", "model": "parallel",
+               "backend": "classes", "batch_fill_ratio": 1.0}
         fills = compare_results.extract_fills({"trajectory": [row]})
         [key] = fills
-        assert "ragged/mixed-nu/N2048" in key
-        assert "model=parallel" in key and "backend=ragged" in key
+        assert "mixed-nu/N2048" in key
+        assert "model=parallel" in key and "backend=classes" in key
 
 
 def span_payload(p99s):
