@@ -31,9 +31,12 @@ Strategy executors
     :class:`~concurrent.futures.ProcessPoolExecutor` for build-dominated
     spec loads; workers return audit rows (states stay worker-side).
 ``served``:
-    The long-lived :class:`~repro.serve.SamplerService` dispatcher —
-    backend-and-shape-keyed re-packing with deadline flush, live
-    telemetry on the returned :class:`ResultSet`.
+    The long-lived serving tier — backend-and-shape-keyed re-packing
+    with deadline flush, live telemetry on the returned
+    :class:`ResultSet`.  :func:`serve` (a lazy stream) and the planned
+    ``served`` group open it the same way: in-process
+    (:class:`~repro.serve.SamplerService`), or its forked case
+    (:class:`~repro.serve.ShardedSamplerService`) when ``shards`` is set.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from ..core.result import SamplingResult
 from ..core.sequential import SequentialSampler
 from ..database.distributed import DistributedDatabase
 from ..errors import PlanningError
-from ..obs.trace import Span, Tracer, get_tracer, span, stitch
+from ..obs.trace import Span, SpanContext, Tracer, get_tracer, span, stitch
 from ..utils.pool import process_map_iter
 from ..utils.rng import as_generator, spawn_seed
 from .planner import ExecutionGroup, ExecutionPlan, Planner, ResolvedRequest
@@ -151,105 +154,68 @@ def serve(
     groups (full-batch or deadline flush) exactly as
     :class:`~repro.serve.SamplerService` does, because it *is* that
     service underneath.  All requests must share one model, capacity
-    policy, ``include_probabilities`` setting and ``shards`` knob (the
-    service is homogeneous in those); spec and stream sources may
-    interleave.
+    policy, ``include_probabilities`` setting, backend and ``shards``
+    knob (the service is homogeneous in those); spec and stream sources
+    may interleave.
 
     ``shards`` (or the requests' own ``shards=``) routes the stream
     through the sharded multi-process tier
     (:class:`~repro.serve.shard.ShardedSamplerService`) instead of the
-    in-process dispatcher — same determinism contract, same rows, with
-    build and execution fanned across worker processes and results
-    returned zero-copy through shared memory.
+    in-process dispatcher — same future surface and request lane, same
+    rows, with build and execution fanned across worker processes and
+    results returned zero-copy through shared memory.
 
     Returns a :class:`ResultSet` in submission order whose ``telemetry``
     carries the service's counters snapshot.
     """
-    from ..serve.service import DEFAULT_FLUSH_DEADLINE, SamplerService
-    from ..serve.shard import ShardedSamplerService
-
     planner = planner or DEFAULT_PLANNER
     gen = as_generator(rng)
     tracer = get_tracer()
     roots: dict[int, Span] = {}
-    service: SamplerService | ShardedSamplerService | None = None
-    first: ResolvedRequest | None = None
-    submissions: list[tuple[ResolvedRequest, int | None, object]] = []
-    try:
+    accepted: list[tuple[ResolvedRequest, int | None]] = []
+
+    def resolved() -> Iterator[tuple[ResolvedRequest, int | None, SpanContext | None]]:
         for request in requests:
             res = planner.resolve_for_serving(request)
-            if service is None:
-                first = res
-                effective_shards = shards if shards is not None else request.shards
-                common = dict(
-                    model=request.model,
-                    batch_size=(
-                        batch_size if batch_size is not None else _serve_batch_size()
-                    ),
-                    flush_deadline=(
-                        DEFAULT_FLUSH_DEADLINE
-                        if flush_deadline is None
-                        else flush_deadline
-                    ),
-                    include_probabilities=request.include_probabilities,
-                    capacity=request.capacity,
-                    # "auto" passes through verbatim: the dispatcher
-                    # resolves it to classes.
-                    backend=request.backend,
-                )
-                if effective_shards is not None:
-                    service = ShardedSamplerService(
-                        shards=effective_shards, **common
-                    )
-                else:
-                    service = SamplerService(workers=workers, **common)
-            else:
-                assert first is not None
+            if accepted:
+                first = accepted[0][0].request
                 for attr in ("model", "capacity", "include_probabilities",
                              "backend", "shards"):
-                    if getattr(request, attr) != getattr(first.request, attr):
+                    if getattr(request, attr) != getattr(first, attr):
                         raise PlanningError(
                             f"served streams are homogeneous in {attr}: got "
                             f"{getattr(request, attr)!r} after "
-                            f"{getattr(first.request, attr)!r}"
+                            f"{getattr(first, attr)!r}"
                         )
-            root = None
+            seed = None
+            if request.source == "spec":
+                seed = request.seed if request.seed is not None else spawn_seed(gen)
+            ctx = None
             if tracer is not None:
-                root = tracer.start(
+                roots[len(accepted)] = root = tracer.start(
                     "request",
                     label=res.label,
                     strategy="served",
                     backend=res.backend,
                     model=request.model,
-                    index=len(submissions),
+                    index=len(accepted),
                 )
-                roots[len(submissions)] = root
-            ctx = root.context if root is not None else None
-            if request.source == "spec":
-                seed = request.seed if request.seed is not None else spawn_seed(gen)
-                future = service.submit(
-                    request.spec,
-                    seed=seed,
-                    fault_mask=request.fault_mask,
-                    trace_ctx=ctx,
-                )
-            else:
-                seed = None
-                future = service.submit_live(
-                    request.stream, label=res.label, trace_ctx=ctx
-                )
-            submissions.append((res, seed, future))
-    finally:
-        if service is not None:
-            service.close(drain=True)
-    if service is None:
+                ctx = root.context
+            accepted.append((res, seed))
+            yield res, seed, ctx
+
+    futures, telemetry = _serve_on_one_tier(
+        resolved(), shards, batch_size, flush_deadline, workers
+    )
+    if not futures:
         return ResultSet(results=[])
     results = [
-        _served_result(res, seed, future) for res, seed, future in submissions
+        _served_result(res, seed, future)
+        for (res, seed), future in zip(accepted, futures)
     ]
     if tracer is not None:
         _attach_traces(tracer, roots, results)
-    return ResultSet(results=results, telemetry=service.telemetry())
+    return ResultSet(results=results, telemetry=telemetry)
 
 
 # -- plan execution ---------------------------------------------------------------
@@ -632,10 +598,62 @@ def _execute_fanout(
 # -- served stream ----------------------------------------------------------------
 
 
-def _serve_batch_size() -> int:
-    from ..batch.driver import DEFAULT_BATCH_SIZE
+def _serve_on_one_tier(
+    resolved: Iterable[tuple[ResolvedRequest, int | None, SpanContext | None]],
+    shards: int | None,
+    batch_size: int | None,
+    flush_deadline: float | None,
+    workers: int,
+) -> tuple[list, dict[str, object] | None]:
+    """Open one serving tier, submit every request to it, drain it.
 
-    return DEFAULT_BATCH_SIZE
+    The first ``(request, seed, trace context)`` triple configures the
+    tier — its model, capacity policy, probabilities setting and
+    resolved backend; ``shards`` (else the first request's own
+    ``shards=``) selects the sharded tier.  Returns the futures in
+    submission order and the drained tier's telemetry (``None`` when
+    the stream was empty).
+    """
+    from ..batch.driver import DEFAULT_BATCH_SIZE
+    from ..serve import DEFAULT_FLUSH_DEADLINE, SamplerService, ShardedSamplerService
+
+    service = None
+    futures = []
+    try:
+        for res, seed, ctx in resolved:
+            request = res.request
+            if service is None:
+                common = dict(
+                    model=request.model,
+                    batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
+                    flush_deadline=(
+                        DEFAULT_FLUSH_DEADLINE
+                        if flush_deadline is None
+                        else flush_deadline
+                    ),
+                    include_probabilities=request.include_probabilities,
+                    capacity=request.capacity,
+                    backend=res.backend,
+                )
+                tier_shards = shards if shards is not None else request.shards
+                service = (
+                    ShardedSamplerService(shards=tier_shards, **common)
+                    if tier_shards is not None
+                    else SamplerService(workers=workers, **common)
+                )
+            if request.source == "spec":
+                future = service.submit(
+                    request.spec, seed=seed, fault_mask=res.fault_mask, trace_ctx=ctx
+                )
+            else:
+                future = service.submit_live(
+                    request.stream, label=res.label, trace_ctx=ctx
+                )
+            futures.append(future)
+    finally:
+        if service is not None:
+            service.close(drain=True)
+    return futures, (service.telemetry() if service is not None else None)
 
 
 def _served_result(res: ResolvedRequest, seed: int | None, future) -> Result:
@@ -666,48 +684,19 @@ def _execute_served(
     seeds: list[int | None],
     context: dict[str, object],
 ) -> Iterator[tuple[int, Result]]:
-    from ..serve.service import DEFAULT_FLUSH_DEADLINE, SamplerService
-    from ..serve.shard import ShardedSamplerService
-
-    first = plan.resolved[group.indices[0]].request
-    submissions: list[tuple[int, int | None, object]] = []
-    shards = plan.shards if plan.shards is not None else first.shards
-    common = dict(
-        model=first.model,
-        batch_size=plan.batch_size,
-        flush_deadline=(
-            DEFAULT_FLUSH_DEADLINE if plan.flush_deadline is None else plan.flush_deadline
-        ),
-        include_probabilities=first.include_probabilities,
-        capacity=first.capacity,
-        backend=plan.resolved[group.indices[0]].backend,
-    )
-    service = (
-        ShardedSamplerService(shards=shards, **common)
-        if shards is not None
-        else SamplerService(workers=plan.workers, **common)
-    )
     roots = context.get("trace_roots") or {}
-    with service:
-        for index in group.indices:
-            res = plan.resolved[index]
-            root = roots.get(index)
-            ctx = root.context if root is not None else None
-            if res.request.source == "spec":
-                future = service.submit(
-                    res.request.spec,
-                    seed=seeds[index],
-                    fault_mask=res.fault_mask,
-                    trace_ctx=ctx,
-                )
-            else:
-                future = service.submit_live(
-                    res.request.stream, label=res.label, trace_ctx=ctx
-                )
-            submissions.append((index, seeds[index], future))
-    context["telemetry"] = service.telemetry()
-    for index, seed, future in submissions:
-        yield index, _served_result(plan.resolved[index], seed, future)
+    futures, context["telemetry"] = _serve_on_one_tier(
+        (
+            (plan.resolved[i], seeds[i], roots[i].context if i in roots else None)
+            for i in group.indices
+        ),
+        plan.shards,
+        plan.batch_size,
+        plan.flush_deadline,
+        plan.workers,
+    )
+    for index, future in zip(group.indices, futures):
+        yield index, _served_result(plan.resolved[index], seeds[index], future)
 
 
 _EXECUTORS = {

@@ -5,9 +5,12 @@ throughput, :mod:`repro.serve` accepts sampling requests **over time**
 and keeps the stacked count-class engine saturated anyway:
 
 :mod:`repro.serve.service`
-    :class:`SamplerService` — submit :class:`InstanceSpec` recipes or
-    live dynamic databases, get :class:`ServedRequest` futures back, in
-    submission order, with honest per-instance ledgers.
+    The serving tier, written once: the future surface (submit
+    :class:`InstanceSpec` recipes or live dynamic databases, get
+    :class:`ServedRequest` futures back, in submission order, with
+    honest per-instance ledgers), the request lane (build → pack →
+    execute) and the completion/failure path.  :class:`SamplerService`
+    runs the lane in-process on a dispatcher thread and a thread pool.
 :mod:`repro.serve.packer`
     :class:`ShapePacker` — re-packs in-flight requests into
     schedule-shape groups; flushes full groups immediately and partial
@@ -16,10 +19,11 @@ and keeps the stacked count-class engine saturated anyway:
     :class:`ServiceStats` — live telemetry: instances/sec, batch-fill
     ratio, p50/p99 latency, queue depth, ledger totals (experiment E24).
 :mod:`repro.serve.shard`
-    :class:`ShardedSamplerService` — the same surface fanned across
-    worker *processes*, one shard per affinity-hashed request slice,
-    results returned zero-copy through per-worker shared-memory arenas
-    (:mod:`repro.serve.shm`; experiment E26).
+    :class:`ShardedSamplerService` — the forked case of the same tier:
+    its request lane runs in worker *processes*, one shard per
+    affinity-hashed request slice, results returned zero-copy through
+    per-worker shared-memory arenas (:mod:`repro.serve.shm`;
+    experiment E26).
 
 Quickstart::
 

@@ -1,22 +1,24 @@
-"""The sharded multi-process serving tier.
+"""The sharded multi-process serving tier: the forked case of one tier.
 
-:class:`ShardedSamplerService` scales the single-process
-:class:`~repro.serve.service.SamplerService` across worker *processes*:
-``shards`` workers each run the full pack → build → execute loop
-(:class:`~repro.serve.packer.ShapePacker` +
-:func:`~repro.batch.engine.execute_class_batch`) on their own slice of
-the request stream, so database materialization and the stacked
-amplification kernels — the two CPU-bound halves of serving — run on
-real cores instead of sharing one GIL.
+:class:`ShardedSamplerService` is :class:`~repro.serve.service.SamplerService`
+with its request lane moved into ``shards`` worker *processes*: the
+future surface, submission, seeding, the close protocol and the
+completion/failure paths are the in-process tier's own
+(:mod:`repro.serve.service`), and each single-threaded worker runs the
+same build → pack → execute lane (``_Lane.build``, a
+:class:`~repro.serve.packer.ShapePacker`, ``_Lane.execute``) on its
+slice of the request stream — so database materialization and the
+stacked amplification kernels, the two CPU-bound halves of serving, run
+on real cores instead of sharing one GIL.
 
-The moving parts:
+What the forked case adds:
 
-* **sharding front dispatcher** — :meth:`submit` hashes each request's
+* **sharding front dispatcher** — an accepted request is routed by its
   *affinity key* (the spec recipe + backend, i.e. everything that
-  determines its schedule shape without building anything) with a stable
-  CRC-32, so repeats of one workload shape always land on the same
-  shard and its packer fills whole same-shape batches instead of ``1/n``
-  fragments on every shard;
+  determines its schedule shape without building anything) hashed with a
+  stable CRC-32, so repeats of one workload shape always land on the
+  same shard and its packer fills whole same-shape batches instead of
+  ``1/n`` fragments on every shard;
 * **zero-copy result handoff** — each worker owns a
   :class:`~repro.serve.shm.ShmArena`; finished batches come back as a
   small pickled control message (indices, rows, plain-scalar meta, an
@@ -32,30 +34,29 @@ The moving parts:
   re-queued to a live shard and retried once (``worker_restarts`` and
   ``requeued_batches`` count the events); a replacement worker is
   spawned for subsequent traffic.  A request lost twice fails its
-  future instead of hanging the stream;
-* **determinism** — child seeds are drawn under the submission lock in
-  submission order, exactly the
-  :func:`~repro.batch.driver.run_batched` /
-  :class:`~repro.serve.service.SamplerService` contract, and workers
-  build from ``spec.build(rng=seed)`` — so a sharded stream reproduces
-  the unsharded service's rows for the same requests and seeds
-  regardless of shard count (regression-tested by
-  ``benchmarks/bench_e26_sharded_serving.py`` and, with ``==`` on every
-  row value, by ``tests/serve/test_shard.py``).
+  future instead of hanging the stream.
+
+Seeds are drawn by the shared submission path and workers build from
+``spec.build(rng=seed)``, so a sharded stream reproduces the unsharded
+service's rows for the same requests and seeds regardless of shard count
+(regression-tested with ``==`` on every row value by
+``tests/serve/test_shard.py`` and ``benchmarks/bench_e26_sharded_serving.py``).
 
 Telemetry aggregates per-shard :class:`~repro.serve.stats.ServiceStats`
 (:meth:`ServiceStats.aggregate`) plus the tier counters:
 ``shards``, ``worker_restarts``, ``requeued_batches``, ``shm_batches``,
 ``shm_fallback_batches``, ``flight_dumps``.
 
-When tracing is enabled (:func:`repro.obs.enable_tracing`) the request's
-:class:`~repro.obs.trace.SpanContext` rides the ``req`` pipe message,
-each worker runs a *local* tracer whose ``build``/``execute``/``marshal``
-spans ship home as the trailing element of result messages, and the
-dispatcher stitches them into the process-wide trace — so one request's
-trace spans every process that touched it.  A
-:class:`~repro.obs.recorder.FlightRecorder` ring buffers routing/result
-events and is dumped to ``death_dumps`` whenever a worker dies.
+When tracing is enabled (:func:`repro.obs.enable_tracing`) before
+construction, the request's :class:`~repro.obs.trace.SpanContext` rides
+the ``req`` pipe message and each worker installs a fresh process tracer
+after fork: the lane's ``build``/``pack``/``execute`` spans and the
+worker's ``marshal`` span ship home as the trailing element of result
+messages, and the dispatcher stitches them — with its own ``dispatch``
+span — into the process-wide trace, so one request's trace spans every
+process that touched it.  A :class:`~repro.obs.recorder.FlightRecorder`
+ring buffers routing/result events and is dumped to ``death_dumps``
+whenever a worker dies.
 """
 
 from __future__ import annotations
@@ -67,33 +68,28 @@ import uuid
 import zlib
 import multiprocessing as mp
 from multiprocessing import connection, shared_memory
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..analysis.sweep import InstanceSpec
-from ..batch.backends import AUTO_STACKED_BACKEND, resolve_stacked_name
 from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, default_row
-from ..batch.engine import (
-    ClassInstance,
-    cached_plan,
-    execute_class_batch,
-    pack_group_results,
-    unpack_group_results,
-)
+from ..batch.engine import pack_group_results, unpack_group_results
 from ..config import CONFIG
 from ..core.result import SamplingResult
-from ..database.dynamic import UpdateStream
 from ..errors import ValidationError
 from ..obs.recorder import FlightRecorder
-from ..obs.trace import SpanContext, Tracer, get_tracer, span, tracing_enabled
-from ..utils.rng import as_generator, spawn_seed
+from ..obs.trace import enable_tracing, get_tracer, span, tracing_enabled
 from ..utils.validation import require_pos_int
 from .packer import ShapePacker
 from .service import (
     DEFAULT_FLUSH_DEADLINE,
     ServedRequest,
     ServiceClosedError,
-    _finish_trace,
-    _open_trace,
+    _complete,
+    _Lane,
+    _reject,
+    _ServingTier,
+    _trace_ids,
+    _trace_pack,
 )
 from .shm import ArenaClient, ShmArena, arrays_nbytes, read_arrays, write_arrays
 from .stats import ServiceStats
@@ -136,195 +132,99 @@ def _affinity(
 # dispatcher thread uses.
 
 
-class _Work:
-    """One request, worker-side: the future's pickled essentials."""
-
-    __slots__ = (
-        "index", "label", "spec", "seed", "instance", "fault_mask", "trace",
-        "db", "backend", "retries",
-    )
-
-    def __init__(self, index, label, spec, seed, instance, fault_mask, trace, retries):
-        self.index = index
-        self.label = label
-        self.spec = spec
-        self.seed = seed
-        self.instance = instance
-        self.fault_mask = fault_mask
-        self.trace = trace  # the request's SpanContext (or None when untraced)
-        self.db = None
-        self.backend = None
-        self.retries = retries
-
-
-def _worker_prepare(work: _Work, config: dict) -> tuple:
-    """Materialize one request and return its packing key."""
-    tracer: Tracer | None = config.get("tracer")
-    build_span = (
-        tracer.start(
-            "build", parent=work.trace, label=work.label, shard=config["shard_id"]
-        )
-        if tracer is not None and work.trace is not None
-        else None
-    )
-    try:
-        if work.instance is None:
-            assert work.spec is not None
-            work.db = work.spec.build(rng=work.seed)
-            if work.fault_mask is not None:
-                # Scenario traffic: drop the lost shards and republish their
-                # capacities as zero, worker-side, exactly as the in-process
-                # dispatcher does.
-                from ..database.fault import apply_fault_mask
-
-                work.db = apply_fault_mask(work.db, work.fault_mask)
-            work.instance = ClassInstance.from_db(work.db)
-    finally:
-        if build_span is not None:
-            tracer.finish(build_span)
-    plan = cached_plan(work.instance.overlap())
-    backend = work.backend = config["substrate"]
-    return (backend, plan.grover_reps, plan.needs_final)
-
-
-def _worker_execute(conn, arena: ShmArena, config: dict, batch: list[_Work]) -> None:
-    """Run one shape group and ship its results through the arena.
-
-    When the dispatcher enabled tracing, the worker's local tracer
-    records ``execute`` and ``marshal`` spans parented into the request
-    traces and ships every buffered span dict as the result message's
-    trailing element — the dispatcher records them into the process-wide
-    tracer so cross-process traces stitch by ``trace_id``.
-    """
-    tracer: Tracer | None = config.get("tracer")
-    parent: SpanContext | None = next(
-        (work.trace for work in batch if work.trace is not None), None
-    )
-    traced = tracer is not None and parent is not None
-    trace_ids = [work.trace.trace_id for work in batch if work.trace is not None]
-
-    def _drained() -> list[dict]:
-        return tracer.drain() if tracer is not None else []
-
-    exec_span = (
-        tracer.start(
-            "execute",
-            parent=parent,
-            backend=batch[0].backend,
-            batch=len(batch),
-            shard=config["shard_id"],
-            trace_ids=trace_ids,
-        )
-        if traced
-        else None
-    )
-    try:
-        results = execute_class_batch(
-            [work.instance for work in batch],
-            model=config["model"],
-            include_probabilities=config["include_probabilities"],
-            skip_zero_capacity=config["skip_zero_capacity"],
-            backend=batch[0].backend,
-        )
-    except BaseException as error:
-        if exec_span is not None:
-            exec_span.set(error=repr(error))
-            tracer.finish(exec_span)
-        for work in batch:
-            conn.send(("fail", work.index, error))
-        return
-    if exec_span is not None:
-        tracer.finish(exec_span)
-    row_fn: RowFn = config["row_fn"]
-    shipped: list[tuple[_Work, SamplingResult, dict | None]] = []
-    for work, result in zip(batch, results):
-        try:
-            row = dict(row_fn(work.spec, work.db, result)) if work.spec is not None else None
-        except BaseException as error:  # a broken row_fn fails its request
-            conn.send(("fail", work.index, error))
-            continue
-        shipped.append((work, result, row))
-    if not shipped:
-        return
-    entries = [(work.index, row) for work, _, row in shipped]
-    marshal_span = (
-        tracer.start(
-            "marshal",
-            parent=parent,
-            batch=len(shipped),
-            shard=config["shard_id"],
-            trace_ids=trace_ids,
-        )
-        if traced
-        else None
-    )
-    block = None
-    try:
-        meta, arrays = pack_group_results([result for _, result, _ in shipped])
-        block = arena.alloc(arrays_nbytes(arrays))
-    except ValidationError:
-        meta = None  # unmarshalable substrate: whole-result pickle below
-    if block is None:
-        if marshal_span is not None:
-            marshal_span.set(shm=False)
-            tracer.finish(marshal_span)
-        conn.send(
-            (
-                "pbatch", entries, [result for _, result, _ in shipped],
-                len(batch), _drained(),
-            )
-        )
-        return
-    layout = write_arrays(arena.payload(block), arrays)
-    if marshal_span is not None:
-        marshal_span.set(shm=True)
-        tracer.finish(marshal_span)
-    conn.send(("batch", entries, meta, block, layout, len(batch), _drained()))
-
-
-def _shard_worker_main(shard_id: int, conn, config: dict, arena_name: str) -> None:
-    """The worker loop: pack → build → execute, results out via shm."""
+def _shard_worker_main(conn, config: dict, arena_name: str) -> None:
+    """The worker loop: the shared lane, results out via shm."""
     # The dispatcher picked the (unique) arena name so it can unlink the
     # segment even when this process dies without running its finally.
     arena = ShmArena(arena_name, config["arena_bytes"])
-    # A LOCAL tracer (never the process-global, which belongs to the
-    # dispatcher under fork): spans buffer here and ship home with each
-    # result message.  The copy keeps the dispatcher's config pristine.
-    config = dict(config)
-    config["shard_id"] = shard_id
-    config["tracer"] = Tracer() if config.get("tracing") else None
-    packer: ShapePacker[_Work] = ShapePacker(
+    if config["tracing"]:
+        # The fork hook dropped the dispatcher's tracer and its sink; this
+        # fresh one buffers the worker's spans until _ship drains them.
+        enable_tracing()
+    lane: _Lane = config["lane"]
+    packer: ShapePacker[ServedRequest] = ShapePacker(
         config["batch_size"], config["flush_deadline"]
     )
+
+    def fail(request: ServedRequest, error: BaseException) -> None:
+        conn.send(("fail", request.index, error))
+
+    def flush(batch: list[ServedRequest]) -> None:
+        _trace_pack(batch, time.monotonic())
+        _ship(conn, arena, len(batch), lane.execute(batch, fail))
+
     try:
         while True:
-            timeout = packer.seconds_until_flush()
-            if conn.poll(timeout):
+            if conn.poll(packer.seconds_until_flush()):
                 message = conn.recv()
                 kind = message[0]
                 if kind == "req":
-                    work = _Work(*message[1:])
-                    try:
-                        key = _worker_prepare(work, config)
-                    except BaseException as error:
-                        conn.send(("fail", work.index, error))
-                    else:
-                        packer.add(key, work)
+                    # Stamped at receipt, so the worker's pack span is its
+                    # own queue wait; the trailing retry count is the
+                    # dispatcher's business.
+                    _, index, label, spec, seed, instance, mask, trace_ctx, _ = message
+                    request = ServedRequest(
+                        index, label, spec, seed, instance, time.monotonic(),
+                        fault_mask=mask, trace_ctx=trace_ctx,
+                    )
+                    key = lane.build(request, fail)
+                    if key is not None:
+                        packer.add(key, request)
                 elif kind == "release":
                     arena.free(message[1])
                 elif kind == "drain":
                     for batch in packer.drain():
-                        _worker_execute(conn, arena, config, batch)
+                        flush(batch)
                     conn.send(("drained",))
                 elif kind == "stop":
                     break
             for batch in packer.pop_ready():
-                _worker_execute(conn, arena, config, batch)
+                flush(batch)
     except (EOFError, BrokenPipeError):  # dispatcher went away
         pass
     finally:
         arena.close()
         conn.close()
+
+
+def _ship(
+    conn,
+    arena: ShmArena,
+    size: int,
+    done: list[tuple[ServedRequest, SamplingResult, dict[str, object] | None]],
+) -> None:
+    """Send one executed batch home: arrays through the arena, the rest pickled.
+
+    ``size`` is the flushed batch's size (rows that failed included),
+    for the dispatcher's fill telemetry.  Every span the worker buffered
+    so far rides along as the message's trailing element.
+    """
+    if not done:
+        return
+    requests = [request for request, _, _ in done]
+    entries = [(request.index, row) for request, _, row in done]
+    results = [result for _, result, _ in done]
+    with span(
+        "marshal",
+        parent=requests[0].trace_ctx,
+        batch=len(done),
+        trace_ids=_trace_ids(requests),
+    ) as marshal:
+        block = None
+        try:
+            meta, arrays = pack_group_results(results)
+            block = arena.alloc(arrays_nbytes(arrays))
+        except ValidationError:
+            pass  # unmarshalable substrate: whole-result pickle below
+        if block is not None:
+            layout = write_arrays(arena.payload(block), arrays)
+        marshal.set(shm=block is not None)
+    tracer = get_tracer()
+    spans = tracer.drain() if tracer is not None else []
+    if block is None:
+        conn.send(("pbatch", entries, results, size, spans))
+    else:
+        conn.send(("batch", entries, meta, block, layout, size, spans))
 
 
 # -- dispatcher side ------------------------------------------------------------------
@@ -352,16 +252,17 @@ class _Shard:
                 return False
 
 
-class ShardedSamplerService:
+class ShardedSamplerService(_ServingTier):
     """Multi-process sharded twin of :class:`~repro.serve.SamplerService`.
 
-    Same future surface (``submit`` / ``submit_live`` →
-    :class:`~repro.serve.service.ServedRequest`), same determinism
-    contract, same drain-on-close semantics — but the pack → build →
-    execute loop runs in ``shards`` worker processes with results
-    returned zero-copy through per-worker shared-memory arenas.  See the
-    module docstring for the architecture; parameters mirror
-    :class:`SamplerService` plus:
+    The same future surface (``submit`` / ``submit_live`` →
+    :class:`~repro.serve.service.ServedRequest`, ``requests``,
+    ``purge_completed``, ``iter_results``, ``rows``), determinism
+    contract and drain-on-close semantics — it *is* that tier's code —
+    but the request lane runs in ``shards`` worker processes with
+    results returned zero-copy through per-worker shared-memory arenas.
+    See the module docstring for the architecture; parameters mirror
+    :class:`SamplerService` (minus ``workers``) plus:
 
     Parameters
     ----------
@@ -390,44 +291,27 @@ class ShardedSamplerService:
         arena_bytes: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        from ..api.planner import require_model, skip_zero_capacity_for
-
         require_pos_int(shards, "shards")
-        self._model = require_model(model)
-        skip = skip_zero_capacity_for(capacity)
-        substrate = resolve_stacked_name(backend, self._model)
-        self._backend = backend
-        self._row_fn = row_fn
-        self._clock = clock
-        self._gen = as_generator(rng)
-        self._batch_size = require_pos_int(batch_size, "batch_size")
+        super().__init__(
+            model, batch_size, flush_deadline, rng, include_probabilities,
+            row_fn, clock, capacity, backend,
+        )
         self._config = {
-            "model": self._model,
+            "lane": self._lane,
             "batch_size": self._batch_size,
-            "flush_deadline": float(flush_deadline),
-            "include_probabilities": include_probabilities,
-            "skip_zero_capacity": skip,
-            # The concrete substrate every request runs ("auto" is classes).
-            "substrate": substrate,
-            "row_fn": row_fn,
+            "flush_deadline": self._flush_deadline,
             "arena_bytes": (
                 CONFIG.shard_arena_bytes if arena_bytes is None else arena_bytes
             ),
-            # Captured at construction: workers fork with the dispatcher's
-            # tracing state and run local tracers when it was enabled.
+            # Captured at construction: workers trace when it was enabled.
             "tracing": tracing_enabled(),
         }
         self._n_shards = shards
         self._shard_stats = [ServiceStats(clock=clock) for _ in range(shards)]
         self._client = ArenaClient()
-        self._requests: list[ServedRequest] = []
         self._futures: dict[int, ServedRequest] = {}
-        self._next_index = 0
-        self._submit_lock = threading.Lock()
-        self._close_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._done = threading.Condition(self._state_lock)
-        self._closed = False
         self._stopping = False
         self.worker_restarts = 0
         self.requeued_batches = 0
@@ -457,7 +341,7 @@ class ShardedSamplerService:
         arena_name = f"shard{shard_id}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         process = mp.Process(
             target=_shard_worker_main,
-            args=(shard_id, child_conn, self._config, arena_name),
+            args=(child_conn, self._config, arena_name),
             name=f"repro-shard-{shard_id}",
             daemon=True,
         )
@@ -467,92 +351,27 @@ class ShardedSamplerService:
         shard.segment = f"repro-{arena_name}"  # ShmArena's OS-name prefix
         return shard
 
-    # -- submission --------------------------------------------------------------
+    # -- routing ------------------------------------------------------------------
 
-    def submit(
-        self,
-        spec: InstanceSpec,
-        seed: int | None = None,
-        fault_mask: tuple[int, ...] | None = None,
-        trace_ctx: "SpanContext | None" = None,
-    ) -> ServedRequest:
-        """Queue one spec request on its affinity shard; future back now.
+    def _shard_of(self, request: ServedRequest) -> int:
+        """The shard ``request`` routes to (and whose stats counted it)."""
+        key = _affinity(request.spec, request.label, self._backend, request.fault_mask)
+        return shard_for(key, self._n_shards)
 
-        Seeds are drawn under the submission lock in submission order —
-        the exact :class:`SamplerService` contract, so a sharded stream
-        reproduces the unsharded rows for the same ``rng``.
-        ``fault_mask`` travels with the request and is applied
-        worker-side after the build (see :meth:`SamplerService.submit`).
+    def _enqueue(self, request: ServedRequest) -> None:
+        """Route an accepted request to its affinity shard.
+
+        A live request's ``O(ν)`` count-class snapshot was taken at
+        submission (the database lives in this process) and is pickled
+        to its shard — request-side marshalling is off the hot path;
+        only results come back through shared memory.
         """
-        with self._submit_lock:
-            self._check_open()
-            request = ServedRequest(
-                index=self._next_index,
-                label=spec.label(),
-                spec=spec,
-                seed=seed if seed is not None else spawn_seed(self._gen),
-                instance=None,
-                submitted_at=self._clock(),
-                row_fn=self._row_fn,
-                fault_mask=tuple(fault_mask) if fault_mask else None,
-            )
-            _open_trace(request, trace_ctx)
-            self._next_index += 1
-            self._requests.append(request)
-            self._route(request, instance=None)
-        return request
-
-    def submit_live(
-        self,
-        stream: UpdateStream,
-        label: str = "live",
-        trace_ctx: "SpanContext | None" = None,
-    ) -> ServedRequest:
-        """Queue a live-snapshot re-sample (see :meth:`SamplerService.submit_live`).
-
-        The ``O(ν)`` count-class snapshot is taken here (the database
-        lives in this process) and pickled to its shard — request-side
-        marshalling is off the hot path; only results come back through
-        shared memory.
-        """
-        if self._backend not in (AUTO_STACKED_BACKEND, "classes"):
-            raise ValidationError(
-                f"backend {self._backend!r} cannot execute a live snapshot; "
-                "live requests run on the class substrate — construct the "
-                "service with backend='auto' or 'classes'"
-            )
-        db = stream.database
-        snapshot = ClassInstance.from_class_state(
-            stream.class_state(), db.n_machines, capacities=db.capacities
-        )
-        with self._submit_lock:
-            self._check_open()
-            request = ServedRequest(
-                index=self._next_index,
-                label=label,
-                spec=None,
-                seed=None,
-                instance=snapshot,
-                submitted_at=self._clock(),
-                row_fn=self._row_fn,
-            )
-            _open_trace(request, trace_ctx)
-            self._next_index += 1
-            self._requests.append(request)
-            self._route(request, instance=snapshot)
-        return request
-
-    def _route(self, request: ServedRequest, instance, retries: int = 0) -> None:
-        shard_id = shard_for(
-            _affinity(request.spec, request.label, self._backend, request.fault_mask),
-            self._n_shards,
-        )
-        # ``retries`` stays LAST: the death handler re-queues with
-        # ``message[:-1] + (retries + 1,)``, so the trace context slots in
-        # just before it.
+        shard_id = self._shard_of(request)
+        # The retry count stays LAST: the death handler re-queues with
+        # ``message[:-1] + (retries + 1,)``.
         message = (
             "req", request.index, request.label, request.spec, request.seed,
-            instance, request.fault_mask, request.trace_ctx, retries,
+            request._instance, request.fault_mask, request.trace_ctx, 0,
         )
         with span("dispatch", parent=request.trace_ctx, shard=shard_id):
             # Shard lookup and the pending entry go under one lock so a
@@ -566,11 +385,17 @@ class ShardedSamplerService:
             # A failed send means the worker just died; the death handler
             # re-queues from ``pending``, so nothing more to do here.
             shard.send(message)
-        self.recorder.record(
-            "route", index=request.index, shard=shard_id, retries=retries
-        )
+        self.recorder.record("route", index=request.index, shard=shard_id, retries=0)
 
-    # -- results & telemetry ------------------------------------------------------
+    def _claim(self, index: int, shard: _Shard) -> ServedRequest | None:
+        """Take a request out of flight (``None`` if already resolved)."""
+        with self._done:
+            request = self._futures.pop(index, None)
+            shard.pending.pop(index, None)
+            self._done.notify_all()
+        return request
+
+    # -- telemetry ----------------------------------------------------------------
 
     @property
     def stats(self) -> tuple[ServiceStats, ...]:
@@ -588,74 +413,42 @@ class ShardedSamplerService:
         view["flight_dumps"] = len(self.death_dumps)
         return view
 
-    def requests(self) -> list[ServedRequest]:
-        """All retained requests, in submission order."""
-        with self._submit_lock:
-            return list(self._requests)
-
-    def iter_results(self) -> Iterator[tuple[ServedRequest, SamplingResult]]:
-        """Yield ``(request, result)`` in submission order, blocking."""
-        for request in self.requests():
-            yield request, request.result()
-
-    def rows(self) -> list[dict[str, object]]:
-        """All result rows in submission order (blocks until complete)."""
-        return [request.row() for request in self.requests()]
-
     # -- lifecycle ----------------------------------------------------------------
 
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting requests and shut the worker tier down.
+    def _shutdown(self, drain: bool) -> None:
+        """Drain (or abandon) every shard, then stop the worker tier.
 
-        ``drain=True`` flushes every shard's packer, waits for all
-        in-flight requests (surviving worker deaths along the way) and
-        only then stops the workers.  ``drain=False`` fails unresolved
-        futures with :class:`ServiceClosedError`.
+        ``drain=True`` flushes every shard's packer and waits for all
+        in-flight requests, surviving worker deaths along the way.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            with self._submit_lock:
-                self._closed = True
-            if drain:
+        if drain:
+            for shard in self._shards:
+                shard.send(("drain",))
+            with self._done:
+                while not self._drained_and_empty():
+                    self._done.wait(timeout=0.1)
+        else:
+            with self._state_lock:
+                unresolved = list(self._futures.values())
+                self._futures.clear()
                 for shard in self._shards:
-                    shard.send(("drain",))
-                with self._done:
-                    while not self._drained_and_empty():
-                        self._done.wait(timeout=0.1)
-            else:
-                with self._state_lock:
-                    unresolved = list(self._futures.values())
-                    self._futures.clear()
-                    for shard in self._shards:
-                        shard.pending.clear()
-                for future in unresolved:
-                    error = ServiceClosedError("service closed without draining")
-                    _finish_trace(future, error)
-                    future._fail(error)
-            self._stopping = True
-            for shard in self._shards:
-                shard.send(("stop",))
-            for shard in self._shards:
+                    shard.pending.clear()
+            for request in unresolved:
+                error = ServiceClosedError("service closed without draining")
+                _reject(request, error, self._shard_stats[self._shard_of(request)])
+        self._stopping = True
+        for shard in self._shards:
+            shard.send(("stop",))
+        for shard in self._shards:
+            shard.process.join(timeout=5.0)
+            if shard.process.is_alive():  # pragma: no cover - stuck worker
+                shard.process.terminate()
                 shard.process.join(timeout=5.0)
-                if shard.process.is_alive():  # pragma: no cover - stuck worker
-                    shard.process.terminate()
-                    shard.process.join(timeout=5.0)
-            self._collector.join(timeout=5.0)
-            self._client.detach_all()
+        self._collector.join(timeout=5.0)
+        self._client.detach_all()
 
     def _drained_and_empty(self) -> bool:
         return all(shard.drained for shard in self._shards) and not self._futures
-
-    def __enter__(self) -> "ShardedSamplerService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close(drain=True)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError("service is closed; no further submissions")
 
     # -- the collector -------------------------------------------------------------
 
@@ -683,8 +476,6 @@ class ShardedSamplerService:
 
     def _record_spans(self, spans: list[dict]) -> None:
         """Stitch worker-shipped span dicts into the dispatcher's tracer."""
-        if not spans:
-            return
         tracer = get_tracer()
         if tracer is None:
             return
@@ -699,7 +490,7 @@ class ShardedSamplerService:
             try:
                 views = read_arrays(self._client.view(block), layout)
                 results = unpack_group_results(
-                    meta, views, self._model, self._config["skip_zero_capacity"]
+                    meta, views, self._lane.model, self._lane.skip_zero_capacity
                 )
             except (ValidationError, FileNotFoundError):
                 # The worker died and its arena is gone (or recycled)
@@ -709,48 +500,32 @@ class ShardedSamplerService:
             shard.send(("release", block))
             self.shm_batches += 1
             self.recorder.record("batch", shard=shard_id, size=size, shm=True)
-            self._fulfill(shard_id, shard, entries, results, size)
+            self._resolve_batch(shard_id, shard, entries, results, size)
         elif kind == "pbatch":
             _, entries, results, size, spans = message
             self._record_spans(spans)
             self.shm_fallback_batches += 1
             self.recorder.record("batch", shard=shard_id, size=size, shm=False)
-            self._fulfill(shard_id, shard, entries, results, size)
+            self._resolve_batch(shard_id, shard, entries, results, size)
         elif kind == "fail":
             _, index, error = message
-            with self._done:
-                future = self._futures.pop(index, None)
-                shard.pending.pop(index, None)
-                self._done.notify_all()
             self.recorder.record("fail", shard=shard_id, index=index)
-            if future is not None:
-                _finish_trace(future, error)
-                future._fail(error)
-                self._shard_stats[shard_id].record_failure()
+            request = self._claim(index, shard)
+            if request is not None:
+                _reject(request, error, self._shard_stats[shard_id])
         elif kind == "drained":
             with self._done:
                 shard.drained = True
                 self._done.notify_all()
 
-    def _fulfill(self, shard_id, shard, entries, results, size) -> None:
-        self._shard_stats[shard_id].record_batch(size, self._batch_size)
+    def _resolve_batch(self, shard_id, shard, entries, results, size) -> None:
+        stats = self._shard_stats[shard_id]
+        stats.record_batch(size, self._batch_size)
         completed_at = self._clock()
         for (index, row), result in zip(entries, results):
-            with self._done:
-                future = self._futures.pop(index, None)
-                shard.pending.pop(index, None)
-                self._done.notify_all()
-            if future is None:  # already failed or abandoned
-                continue
-            future._row = row
-            future.db = None
-            future._instance = None
-            future.completed_at = completed_at
-            future._fulfill(result)
-            _finish_trace(future)
-            self._shard_stats[shard_id].record_complete(
-                completed_at - future.submitted_at, result
-            )
+            request = self._claim(index, shard)
+            if request is not None:  # else already failed or abandoned
+                _complete(request, result, row, stats, completed_at)
 
     def _handle_death(self, shard_id: int, shard: _Shard) -> None:
         if self._stopping:
@@ -782,8 +557,8 @@ class ShardedSamplerService:
         self.worker_restarts += 1
         replacement = self._spawn(shard_id)
         # Orphan collection and the shard swap are atomic with respect to
-        # _route: a racing submit either lands in ``pending`` here (and is
-        # re-queued below) or routes to the replacement.
+        # _enqueue: a racing submit either lands in ``pending`` here (and
+        # is re-queued below) or routes to the replacement.
         with self._state_lock:
             orphans = list(shard.pending.items())
             shard.pending.clear()
@@ -806,16 +581,12 @@ class ShardedSamplerService:
         for index, message in orphans:
             retries = message[-1]
             if retries >= 1:
-                with self._done:
-                    future = self._futures.pop(index, None)
-                    self._done.notify_all()
-                if future is not None:
+                request = self._claim(index, shard)
+                if request is not None:
                     error = RuntimeError(
                         f"request {index} lost to two worker deaths; giving up"
                     )
-                    _finish_trace(future, error)
-                    future._fail(error)
-                    self._shard_stats[shard_id].record_failure()
+                    _reject(request, error, self._shard_stats[shard_id])
                 continue
             requeued = message[:-1] + (retries + 1,)
             with self._state_lock:

@@ -29,7 +29,7 @@ from repro.batch import ClassInstance, execute_class_batch, resolve_stacked_name
 from repro.database import WorkloadSpec
 from repro.errors import PlanningError, ValidationError
 from repro.serve import SamplerService, ShardedSamplerService
-from repro.serve.shard import _Work, _worker_prepare
+from repro.serve.service import ServedRequest
 
 MODELS = ("sequential", "parallel")
 UNIVERSES = (8, 64, 512, 4096, 32768, 10**5, 10**6)
@@ -97,9 +97,13 @@ class TestEveryResolutionSite:
 
     @pytest.mark.parametrize("universe", UNIVERSES)
     def test_sharded_worker_resolves_classes(self, sharded_auto, universe):
-        work = _Work(0, "w", spec_of(universe), 1, None, None, None, 0)
-        key = _worker_prepare(work, {**sharded_auto._config, "shard_id": 0})
-        assert key[0] == work.backend == "classes"
+        # The worker runs the lane it was forked with: the tier's own.
+        lane = sharded_auto._config["lane"]
+        request = ServedRequest(0, "w", spec_of(universe), 1, None, 0.0)
+        failures = []
+        key = lane.build(request, lambda request, error: failures.append(error))
+        assert failures == []
+        assert key[0] == lane.substrate == "classes"
 
 
 class TestHeterogeneousBatches:

@@ -138,6 +138,15 @@ class TestServedTraces:
             roots = [r for r in result.trace if r["name"] == "request"]
             assert len(roots) == 1
 
+    @pytest.mark.parametrize("shards", [None, 2], ids=["in-process", "sharded"])
+    def test_both_tiers_trace_the_same_request_lane(self, shards):
+        """Span parity: one lane, so both tiers emit build, pack and
+        execute into every served request's stitched trace."""
+        enable_tracing()
+        results = repro.serve(_requests(6), rng=9, shards=shards)
+        for result in results:
+            assert {"request", "build", "pack", "execute"} <= _names(result)
+
     def test_sharded_rows_match_untraced_run(self):
         plain = repro.serve(_requests(4), rng=13, shards=2)
         enable_tracing()

@@ -1,18 +1,57 @@
-"""SamplerService: equivalence, re-packing, deadlines, shutdown, dynamics."""
+"""SamplerService: equivalence, re-packing, deadlines, shutdown, dynamics.
+
+The lifecycle suite (shutdown, failure isolation, housekeeping, telemetry
+ordering) runs on both tiers: the sharded tier shares the in-process
+future surface, request lane and resolution path, so it must behave the
+same.
+"""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.analysis import InstanceSpec
 from repro.batch import run_batched
+from repro.batch.driver import default_row
 from repro.core import SequentialSampler, solve_plan
 from repro.database import WorkloadSpec, round_robin, zipf_dataset
 from repro.database.dynamic import random_update_stream
-from repro.serve import SamplerService, ServiceClosedError
+from repro.obs.trace import Tracer, disable_tracing, enable_tracing
+from repro.serve import SamplerService, ServiceClosedError, ShardedSamplerService
 from repro.utils.rng import as_generator, spawn_seed
 
 #: Generous wall-clock allowance for future resolution — CI runners stall.
 WAIT = 60.0
+
+
+def two_shards(**kwargs) -> ShardedSamplerService:
+    return ShardedSamplerService(shards=2, **kwargs)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(SamplerService, id="in-process"),
+        pytest.param(two_shards, id="sharded"),
+    ]
+)
+def make_tier(request):
+    """Construct either serving tier from the same keyword arguments."""
+    return request.param
+
+
+def bad_spec() -> InstanceSpec:
+    """A recipe whose build raises (no machines to shard onto)."""
+    return InstanceSpec(
+        workload=WorkloadSpec.of("zipf", universe=64, total=24), n_machines=0
+    )
+
+
+def row_fn_failing_on_tag(spec, db, result):
+    """``default_row``, except that a spec tagged ``bad-row`` raises."""
+    if spec.tag == "bad-row":
+        raise RuntimeError("row builder broke")
+    return default_row(spec, db, result)
 
 
 def spec_of(total: int, n_machines: int = 2, tag: str = "") -> InstanceSpec:
@@ -140,11 +179,11 @@ class TestDeadlineFlush:
 
 
 class TestShutdown:
-    def test_graceful_close_drains_everything(self):
+    def test_graceful_close_drains_everything(self, make_tier):
         """Requests parked behind a huge deadline + oversize batch are all
         executed by close(drain=True)."""
         specs = [spec_of(24, tag=f"d{k}") for k in range(5)]
-        service = SamplerService(rng=2, batch_size=64, flush_deadline=60.0)
+        service = make_tier(rng=2, batch_size=64, flush_deadline=60.0)
         futures = [service.submit(spec) for spec in specs]
         assert not any(f.done() for f in futures)  # nothing can flush yet
         service.close(drain=True)
@@ -152,41 +191,85 @@ class TestShutdown:
         assert all(f.result().exact for f in futures)
         assert service.telemetry()["queue_depth"] == 0
 
-    def test_submit_after_close_rejected(self):
-        service = SamplerService(rng=0)
+    def test_submit_after_close_rejected(self, make_tier):
+        service = make_tier(rng=0)
         service.close()
         with pytest.raises(ServiceClosedError):
             service.submit(spec_of(24))
 
-    def test_close_is_idempotent(self):
-        service = SamplerService(rng=0)
+    def test_close_is_idempotent(self, make_tier):
+        service = make_tier(rng=0)
         service.close()
         service.close()
 
-    def test_abandoning_close_fails_pending_requests(self):
-        service = SamplerService(rng=2, batch_size=64, flush_deadline=60.0)
+    def test_abandoning_close_fails_pending_requests(self, make_tier):
+        service = make_tier(rng=2, batch_size=64, flush_deadline=60.0)
         futures = [service.submit(spec_of(24)) for _ in range(3)]
         service.close(drain=False)
         for future in futures:
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=WAIT)
-        assert service.telemetry()["failed"] == 3
+        telemetry = service.telemetry()
+        assert telemetry["failed"] == 3
+        assert telemetry["queue_depth"] == 0
 
 
 class TestFailureIsolation:
-    def test_bad_spec_fails_only_its_future(self):
-        bad = InstanceSpec(
-            workload=WorkloadSpec.of("zipf", universe=64, total=24), n_machines=0
-        )
-        with SamplerService(rng=4, batch_size=4, flush_deadline=0.01) as service:
+    def test_bad_spec_fails_only_its_future(self, make_tier):
+        with make_tier(rng=4, batch_size=4, flush_deadline=0.01) as service:
             good_before = service.submit(spec_of(24))
-            failed = service.submit(bad)
+            failed = service.submit(bad_spec())
             good_after = service.submit(spec_of(24))
             assert good_before.result(timeout=WAIT).exact
             assert good_after.result(timeout=WAIT).exact
             assert failed.exception(timeout=WAIT) is not None
         assert service.telemetry()["failed"] == 1
         assert service.telemetry()["completed"] == 2
+
+    def test_raising_row_fn_fails_only_its_request(self, make_tier):
+        with make_tier(
+            rng=4, batch_size=4, flush_deadline=0.01, row_fn=row_fn_failing_on_tag
+        ) as service:
+            good_before = service.submit(spec_of(24, tag="ok"))
+            failed = service.submit(spec_of(24, tag="bad-row"))
+            good_after = service.submit(spec_of(24, tag="ok"))
+            error = failed.exception(timeout=WAIT)
+            assert good_before.row()["exact"] is True
+            assert good_after.row()["exact"] is True
+        assert isinstance(error, RuntimeError)
+        assert "row builder broke" in str(error)
+        telemetry = service.telemetry()
+        assert (telemetry["completed"], telemetry["failed"]) == (2, 1)
+        assert telemetry["queue_depth"] == 0
+
+
+class TestTelemetryOrdering:
+    """A resolved future is already counted: stats are recorded before the
+    service-minted root span closes, and both before the future resolves.
+    A slow ``Tracer.finish`` widens the window a wrong order leaves open."""
+
+    @pytest.fixture
+    def slow_tracing(self, monkeypatch):
+        finish = Tracer.finish
+
+        def slow_finish(tracer, span):
+            time.sleep(0.05)
+            return finish(tracer, span)
+
+        monkeypatch.setattr(Tracer, "finish", slow_finish)
+        enable_tracing()
+        yield
+        disable_tracing()
+
+    def test_completion_counted_before_result_returns(self, make_tier, slow_tracing):
+        with make_tier(rng=0, batch_size=1, flush_deadline=0.01) as service:
+            service.submit(spec_of(24)).result(timeout=WAIT)
+            assert service.telemetry()["completed"] == 1
+
+    def test_failure_counted_before_exception_returns(self, make_tier, slow_tracing):
+        with make_tier(rng=0, batch_size=1, flush_deadline=0.01) as service:
+            assert service.submit(bad_spec()).exception(timeout=WAIT) is not None
+            assert service.telemetry()["failed"] == 1
 
 
 class TestStackedDenseServing:
@@ -376,8 +459,8 @@ class TestDynamicServing:
 
 
 class TestLongLivedHousekeeping:
-    def test_purge_completed_drops_resolved_requests(self):
-        service = SamplerService(rng=0, batch_size=2, flush_deadline=0.01)
+    def test_purge_completed_drops_resolved_requests(self, make_tier):
+        service = make_tier(rng=0, batch_size=2, flush_deadline=0.01)
         try:
             futures = [service.submit(spec_of(24)) for _ in range(4)]
             for future in futures:
@@ -395,16 +478,16 @@ class TestLongLivedHousekeeping:
         finally:
             service.close()
 
-    def test_snapshot_released_after_execution(self):
-        with SamplerService(rng=0, batch_size=2, flush_deadline=0.01) as service:
+    def test_snapshot_released_after_execution(self, make_tier):
+        with make_tier(rng=0, batch_size=2, flush_deadline=0.01) as service:
             future = service.submit(spec_of(24))
             future.result(timeout=WAIT)
         assert future._instance is None  # the O(N) snapshot is freed
 
-    def test_concurrent_close_calls_both_drain(self):
+    def test_concurrent_close_calls_both_drain(self, make_tier):
         import threading
 
-        service = SamplerService(rng=0, batch_size=64, flush_deadline=60.0)
+        service = make_tier(rng=0, batch_size=64, flush_deadline=60.0)
         futures = [service.submit(spec_of(24)) for _ in range(6)]
         threads = [threading.Thread(target=service.close) for _ in range(2)]
         for t in threads:
