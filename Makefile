@@ -53,7 +53,7 @@ bench-batch-smoke:
 		--benchmark-disable -k smoke
 
 # E24: the long-lived serving loop vs the offline batched driver.  Full
-# run asserts the ≥0.8× throughput bar and the deadline-bounded p99; the
+# run asserts the ≥0.8× throughput bar and the low-load p99 bound; the
 # smoke variants (tiny trace + the tracing-overhead check) are what CI
 # executes, alongside a CLI trace through `python -m repro serve`.
 bench-serve:
@@ -64,7 +64,7 @@ bench-serve-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e24_serving.py -q \
 		--benchmark-disable -k smoke
 	$(PYTHON) -m repro serve --max-requests 32 --universe 256 --total 64 \
-		--machines 2 --batch-size 8 --flush-deadline 0.02
+		--machines 2 --batch-size 8
 
 # E26: the sharded multi-process serving tier vs the single-process
 # dispatcher.  Full run sweeps {poisson, bursty} arrival traces across
@@ -80,7 +80,7 @@ bench-serve-sharded-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e26_sharded_serving.py -q \
 		--benchmark-disable -k smoke
 	$(PYTHON) -m repro serve --max-requests 16 --universe 256 --total 64 \
-		--machines 2 --batch-size 8 --flush-deadline 0.02 --shards 2
+		--machines 2 --batch-size 8 --shards 2
 
 # E27: the adversarial-scenario matrix — every registered scenario
 # (machine loss on replicated/disjoint shards, kill/revive schedules,

@@ -54,7 +54,7 @@ def _requests():
 def _run(strategy: str):
     start = time.perf_counter()
     if strategy == "served":
-        results = serve(_requests(), rng=SEED, batch_size=4, flush_deadline=0.01)
+        results = serve(_requests(), rng=SEED, batch_size=4)
     else:
         results = sample_many(
             _requests(),

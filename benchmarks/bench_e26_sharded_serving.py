@@ -43,7 +43,6 @@ from repro.utils.rng import as_generator
 #: spreads *batches*, which it does not: affinity is the contract), so
 #: the sweep mixes machine counts to populate every shard.
 BATCH_SIZE = 32
-DEADLINE = 0.05
 
 
 def _specs(count: int, universe: int = 512, total: int = 128):
@@ -76,13 +75,12 @@ def _arrival_gaps(trace: str, count: int, rate_hz: float) -> list[float]:
     return [float(rng.exponential(1.0 / r)) for r in local_rate]
 
 
-def _run_tier(specs, rng, shards, trace="poisson", rate_hz=0.0,
-              deadline=DEADLINE, **kwargs):
+def _run_tier(specs, rng, shards, trace="poisson", rate_hz=0.0, **kwargs):
     """Replay one arrival trace through the sharded tier."""
     gaps = _arrival_gaps(trace, len(specs), rate_hz)
     with ShardedSamplerService(
-        shards=shards, batch_size=BATCH_SIZE, flush_deadline=deadline,
-        rng=rng, include_probabilities=False, **kwargs
+        shards=shards, batch_size=BATCH_SIZE, rng=rng,
+        include_probabilities=False, **kwargs
     ) as tier:
         start = time.perf_counter()
         for spec, gap in zip(specs, gaps):
@@ -94,11 +92,10 @@ def _run_tier(specs, rng, shards, trace="poisson", rate_hz=0.0,
         return tier.telemetry(), rows, len(specs) / elapsed
 
 
-def _run_unsharded(specs, rng, deadline=DEADLINE):
+def _run_unsharded(specs, rng):
     """The single-process dispatcher reference on the same stream."""
     with SamplerService(
-        batch_size=BATCH_SIZE, flush_deadline=deadline, workers=2,
-        rng=rng, include_probabilities=False
+        batch_size=BATCH_SIZE, workers=2, rng=rng, include_probabilities=False
     ) as service:
         start = time.perf_counter()
         for spec in specs:
@@ -214,10 +211,8 @@ def test_e26_smoke_small(report):
     """Tiny-trace CI variant: equivalence and zero-copy bars hold, JSON
     artifact archived; no rate assertions (shared runners)."""
     specs = _specs(16, universe=256, total=64)
-    _, reference_rows, single_rate = _run_unsharded(specs, rng=4, deadline=0.02)
-    telemetry, rows, sustained = _run_tier(
-        specs, rng=4, shards=2, deadline=0.02
-    )
+    _, reference_rows, single_rate = _run_unsharded(specs, rng=4)
+    telemetry, rows, sustained = _run_tier(specs, rng=4, shards=2)
     _assert_rows_equivalent(rows, reference_rows)
     assert telemetry["exact"] == len(specs)
     assert telemetry["shards"] == 2
@@ -254,7 +249,7 @@ def test_e26_smoke_traced():
     open(sink, "w", encoding="utf-8").close()
     enable_tracing(sink=sink)
     try:
-        telemetry, rows, _ = _run_tier(specs, rng=7, shards=2, deadline=0.02)
+        telemetry, rows, _ = _run_tier(specs, rng=7, shards=2)
     finally:
         disable_tracing()
     assert telemetry["completed"] == len(specs)

@@ -38,7 +38,8 @@ _SCENARIO_KEYS = ("scenario", "family", "label", "name")
 
 #: Secondary keys that split one scenario into distinct cells — the
 #: matrix-shaped artifacts (E27) key cells by execution regime too.
-_CELL_KEYS = ("model", "backend", "offered_load", "shards", "flush_deadline")
+#: Baselines that still carry a ``flush_deadline`` column key without it.
+_CELL_KEYS = ("model", "backend", "offered_load", "shards")
 
 
 def _scenario_key(row: dict) -> str:

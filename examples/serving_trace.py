@@ -2,10 +2,12 @@
 """The serving loop under a Poisson arrival trace, with live updates.
 
 A production sampler does not get its job list up front: requests arrive
-over time, and the service must keep the stacked batch engine saturated
-while bounding each request's latency.  This script replays a Poisson
-arrival trace of mixed-shape sampling requests through the front door's
-stream call — ``repro.serve`` — at three offered loads, interleaves live
+over time.  Dispatch is work-conserving: a request on an idle service
+runs at once, and requests batch only while every worker is busy, so
+the stacked engine fills up exactly when load demands it.  This script
+replays a Poisson arrival trace of mixed-shape sampling requests
+through the front door's stream call — ``repro.serve`` — at three
+offered loads, interleaves live
 re-samples of a mutating dynamic database (no O(nN) rebuilds — requests
 snapshot the O(1)-maintained count-class view), and prints the telemetry
 each load level produces.
@@ -36,7 +38,6 @@ SPECS = [
 ]
 
 REQUESTS = 120
-FLUSH_DEADLINE = 0.02
 
 
 def replay(rate_hz: float) -> dict:
@@ -53,24 +54,22 @@ def replay(rate_hz: float) -> dict:
                 spec=SPECS[k % len(SPECS)], include_probabilities=False
             )
 
-    results = repro.serve(
-        trace(), batch_size=32, flush_deadline=FLUSH_DEADLINE, rng=7
-    )
+    results = repro.serve(trace(), batch_size=32, rng=7)
     assert all(results.column("exact"))
     return results.telemetry
 
 
 def main() -> None:
     table = Table(
-        f"serving {REQUESTS} requests, flush deadline {FLUSH_DEADLINE * 1e3:.0f} ms",
-        ["offered load", "batches", "fill", "p50", "p99", "throughput"],
+        f"serving {REQUESTS} requests",
+        ["offered load", "batches", "mean batch", "p50", "p99", "throughput"],
     )
     for label, rate in [("200/s", 200.0), ("1000/s", 1000.0), ("max", 0.0)]:
         t = replay(rate)
         table.add_row([
             label,
             t["batches_executed"],
-            f"{t['batch_fill_ratio']:.2f}",
+            f"{t['mean_batch_size']:.1f}",
             f"{t['p50_latency'] * 1e3:.1f} ms",
             f"{t['p99_latency'] * 1e3:.1f} ms",
             f"{t['instances_per_sec']:.0f}/s",
@@ -94,7 +93,7 @@ def main() -> None:
                 stream=stream, label="after", include_probabilities=False
             )
 
-    results = repro.serve(live_trace(), batch_size=8, flush_deadline=0.01, rng=0)
+    results = repro.serve(live_trace(), batch_size=8, rng=0)
     m_before = results[0].sampling.public_parameters["M"]
     m_after = results[-1].sampling.public_parameters["M"]
     print(f"live re-sampling: M = {m_before} before the updates, "

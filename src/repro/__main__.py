@@ -19,9 +19,9 @@ Commands
     Run the long-lived batching sampler service (``repro.serve`` — the
     front door's stream strategy) on a synthetic Poisson arrival trace
     and print its telemetry; flags:
-    ``--max-requests --rate --batch-size --flush-deadline --workers
-    --shards`` plus the ``sample`` instance flags.  ``--rate 0`` offers
-    requests as fast as the submitter can (full-load mode);
+    ``--max-requests --rate --batch-size --workers --shards`` plus the
+    ``sample`` instance flags.  ``--rate 0`` offers requests as fast as
+    the submitter can (full-load mode);
     ``--shards S`` runs the multi-process sharded tier with zero-copy
     shared-memory result handoff instead of the in-process dispatcher.
 ``estimate``
@@ -81,7 +81,7 @@ _EXPERIMENTS = [
     ("E21", "Intro motivation — fault tolerance via replication", "bench_e21_fault_tolerance"),
     ("E22", "Scaling — backend wall-time/memory up to N = 10⁶", "bench_e22_backend_scaling"),
     ("E23", "Scaling — batched engine ≥5× instances/sec at B = 256", "bench_e23_batched_throughput"),
-    ("E24", "Serving — latency/throughput vs offered load & flush deadline", "bench_e24_serving"),
+    ("E24", "Serving — latency/throughput vs offered load", "bench_e24_serving"),
     ("E25", "API — one request through all four planner strategies", "bench_e25_api_pipeline"),
     ("E26", "Scaling — sharded serving tier, zero-copy shm handoff", "bench_e26_sharded_serving"),
     ("E27", "Scenarios — adversarial matrix: faults, skew & churn served, gated", "bench_e27_scenario_matrix"),
@@ -275,7 +275,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         results = api_serve(
             request_trace(),
             batch_size=args.batch_size,
-            flush_deadline=args.flush_deadline,
             workers=args.workers,
             shards=args.shards,
             rng=args.seed,
@@ -288,8 +287,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     assert telemetry is not None
     table = Table(
         f"served {args.model} sampling × {args.max_requests} requests "
-        f"(rate={'max' if args.rate <= 0 else f'{args.rate:g}/s'}, "
-        f"deadline={args.flush_deadline:g}s)",
+        f"(rate={'max' if args.rate <= 0 else f'{args.rate:g}/s'})",
         ["metric", "value"],
     )
     table.add_row(["requests", str(telemetry["completed"])])
@@ -573,10 +571,6 @@ def main(argv: list[str] | None = None) -> int:
         help="Poisson arrival rate in requests/sec; 0 = full offered load",
     )
     serve.add_argument("--batch-size", type=int, default=32, metavar="B")
-    serve.add_argument(
-        "--flush-deadline", type=float, default=0.02, metavar="SEC",
-        help="max seconds a request waits for co-batchable arrivals",
-    )
     serve.add_argument("--workers", type=int, default=2, metavar="W")
     serve.add_argument(
         "--shards", type=int, default=None, metavar="S",

@@ -31,10 +31,11 @@ Strategy executors
     :class:`~concurrent.futures.ProcessPoolExecutor` for build-dominated
     spec loads; workers return audit rows (states stay worker-side).
 ``served``:
-    The long-lived serving tier — backend-and-shape-keyed re-packing
-    with deadline flush, live telemetry on the returned
-    :class:`ResultSet`.  :func:`serve` (a lazy stream) and the planned
-    ``served`` group open it the same way: in-process
+    The long-lived serving tier — shape-keyed re-packing with
+    work-conserving dispatch (requests batch only while every worker is
+    busy; a request on an idle tier runs at once), live telemetry on the
+    returned :class:`ResultSet`.  :func:`serve` (a lazy stream) and the
+    planned ``served`` group open it the same way: in-process
     (:class:`~repro.serve.SamplerService`), or its forked case
     (:class:`~repro.serve.ShardedSamplerService`) when ``shards`` is set.
 """
@@ -86,7 +87,6 @@ def sample_many(
     batch_size: int | None = None,
     jobs: int | None = None,
     strategy: str | None = None,
-    flush_deadline: float | None = None,
     workers: int = 2,
     shards: int | None = None,
     planner: Planner | None = None,
@@ -113,8 +113,9 @@ def sample_many(
         Force every request onto one strategy (``"instance"``,
         ``"stacked"``, ``"fanout"``, ``"served"``); ``None`` lets the
         planner route.
-    flush_deadline, workers:
-        Serving knobs, used only when requests route to the dispatcher.
+    workers:
+        Serving threads, used only when requests route to the
+        in-process dispatcher.
     shards:
         Served-strategy scale-out: run served groups on the sharded
         multi-process tier with this many workers (``None`` serves
@@ -130,7 +131,6 @@ def sample_many(
         strategy=strategy,
         batch_size=batch_size,
         jobs=jobs,
-        flush_deadline=flush_deadline,
         workers=workers,
         shards=shards,
     )
@@ -140,7 +140,6 @@ def sample_many(
 def serve(
     requests: Iterable[SamplingRequest],
     batch_size: int | None = None,
-    flush_deadline: float | None = None,
     workers: int = 2,
     shards: int | None = None,
     rng: object = None,
@@ -150,13 +149,13 @@ def serve(
 
     The iterable is consumed **lazily in the calling thread** — a
     generator that sleeps between yields replays a real arrival trace,
-    and the dispatcher re-packs whatever is in flight into schedule-shape
-    groups (full-batch or deadline flush) exactly as
-    :class:`~repro.serve.SamplerService` does, because it *is* that
-    service underneath.  All requests must share one model, capacity
-    policy, ``include_probabilities`` setting, backend and ``shards``
-    knob (the service is homogeneous in those); spec and stream sources
-    may interleave.
+    and the dispatcher re-packs whatever queues behind busy workers into
+    schedule-shape groups (full-batch flush, or every group once a
+    worker is free) exactly as :class:`~repro.serve.SamplerService`
+    does, because it *is* that service underneath.  All requests must
+    share one model, capacity policy, ``include_probabilities`` setting,
+    backend and ``shards`` knob (the service is homogeneous in those);
+    spec and stream sources may interleave.
 
     ``shards`` (or the requests' own ``shards=``) routes the stream
     through the sharded multi-process tier
@@ -205,7 +204,7 @@ def serve(
             yield res, seed, ctx
 
     futures, telemetry = _serve_on_one_tier(
-        resolved(), shards, batch_size, flush_deadline, workers
+        resolved(), shards, batch_size, workers
     )
     if not futures:
         return ResultSet(results=[])
@@ -602,7 +601,6 @@ def _serve_on_one_tier(
     resolved: Iterable[tuple[ResolvedRequest, int | None, SpanContext | None]],
     shards: int | None,
     batch_size: int | None,
-    flush_deadline: float | None,
     workers: int,
 ) -> tuple[list, dict[str, object] | None]:
     """Open one serving tier, submit every request to it, drain it.
@@ -615,7 +613,7 @@ def _serve_on_one_tier(
     the stream was empty).
     """
     from ..batch.driver import DEFAULT_BATCH_SIZE
-    from ..serve import DEFAULT_FLUSH_DEADLINE, SamplerService, ShardedSamplerService
+    from ..serve import SamplerService, ShardedSamplerService
 
     service = None
     futures = []
@@ -626,11 +624,6 @@ def _serve_on_one_tier(
                 common = dict(
                     model=request.model,
                     batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
-                    flush_deadline=(
-                        DEFAULT_FLUSH_DEADLINE
-                        if flush_deadline is None
-                        else flush_deadline
-                    ),
                     include_probabilities=request.include_probabilities,
                     capacity=request.capacity,
                     backend=res.backend,
@@ -692,7 +685,6 @@ def _execute_served(
         ),
         plan.shards,
         plan.batch_size,
-        plan.flush_deadline,
         plan.workers,
     )
     for index, future in zip(group.indices, futures):

@@ -136,7 +136,6 @@ class ExecutionPlan:
     groups: tuple[ExecutionGroup, ...]
     batch_size: int
     jobs: int | None = None
-    flush_deadline: float | None = None
     workers: int = 2
     #: Served-strategy scale-out: worker processes of the sharded tier
     #: (``None`` serves in-process; see ``SamplingRequest.shards``).
@@ -201,7 +200,6 @@ class Planner:
         strategy: str | None = None,
         batch_size: int | None = None,
         jobs: int | None = None,
-        flush_deadline: float | None = None,
         workers: int = 2,
         shards: int | None = None,
     ) -> ExecutionPlan:
@@ -211,7 +209,6 @@ class Planner:
             strategy=strategy,
             batch_size=batch_size,
             jobs=jobs,
-            flush_deadline=flush_deadline,
             workers=workers,
             shards=shards,
         )
@@ -232,7 +229,6 @@ class Planner:
         strategy: str | None = None,
         batch_size: int | None = None,
         jobs: int | None = None,
-        flush_deadline: float | None = None,
         workers: int = 2,
         shards: int | None = None,
     ) -> ExecutionPlan:
@@ -241,9 +237,9 @@ class Planner:
         ``strategy`` forces every request onto one strategy (each request
         must be eligible — :class:`PlanningError` otherwise).  With
         ``strategy=None`` the routing rules of the module docstring
-        apply.  ``batch_size``/``jobs``/``flush_deadline``/``workers``/
-        ``shards`` are execution hints carried onto the plan for the
-        strategies that use them.
+        apply.  ``batch_size``/``jobs``/``workers``/``shards`` are
+        execution hints carried onto the plan for the strategies that
+        use them.
         """
         from ..batch.driver import DEFAULT_BATCH_SIZE
 
@@ -286,7 +282,6 @@ class Planner:
             groups=groups,
             batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
             jobs=jobs,
-            flush_deadline=flush_deadline,
             workers=workers,
             shards=shards,
         )

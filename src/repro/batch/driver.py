@@ -27,7 +27,7 @@ Determinism and ordering are contracts, not best effort:
   driver.
 
 For a *long-lived* request stream — arrivals over time, per-request
-futures, deadline-bounded latency — see
+futures, work-conserving dispatch — see
 :class:`repro.serve.SamplerService`, which re-packs in-flight requests
 into schedule-shape groups on top of the same stacked engine.
 

@@ -283,10 +283,14 @@ class StackedClassVector:
         segment.
         """
         require(element_reg == "i" and flag_reg == "w", "stacked registers are (i, w)")
-        col = _as_phase_column(phase, self.batch_size)
+        if np.ndim(phase) == 0:
+            # The Grover loop's constant e^{iπ}: validate one scalar, not a column.
+            shift = _check_unit_scalar(phase) - 1.0
+        else:
+            shift = _as_phase_column(phase, self.batch_size)[:, 0] - 1.0
         products = self._class_sizes * self._values[:, 0]
         pi_overlap = self._inv_sqrt_n * self._segment_sums(products)
-        correction = (col[:, 0] - 1.0) * pi_overlap * self._inv_sqrt_n
+        correction = shift * pi_overlap * self._inv_sqrt_n
         self._values[:, 0] += correction[self._cell_segment]
         return self._after_unitary()
 

@@ -18,6 +18,13 @@ clock reads.  Enable with :func:`enable_tracing` (optionally with a
 JSON-lines ``sink`` path: every finished span is appended as one JSON
 object, the ``--trace out.jsonl`` CLI surface).
 
+When on, a span makes no system call, because a call that releases
+the GIL costs a busy service far more than the call itself: ids are a
+per-process random prefix plus a counter, and sink lines are written in
+bulk (at ``drain``/``write``/``close``, at exit, and every
+:data:`SINK_BATCH` records).  A killed process loses at most
+``SINK_BATCH - 1`` pending sink lines.
+
 Cross-process timing caveat: ``duration_s`` is always a monotonic
 difference measured inside one process and is comparable everywhere;
 ``ts`` is wall-clock (for ordering) and ``pid`` records where the span
@@ -26,11 +33,12 @@ ran.
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import json
 import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -41,9 +49,25 @@ from typing import Iterator
 #: JSONL sink, when configured, still sees every span.
 DEFAULT_BUFFER = 4096
 
+#: Pending sink records that trigger one bulk serialize-and-write.
+SINK_BATCH = 1024
+
+
+def _draw_prefix(avoid: str = "") -> str:
+    """Eight random hex digits, never ``avoid``."""
+    prefix = avoid
+    while prefix == avoid:
+        prefix = os.urandom(4).hex()
+    return prefix
+
+
+_id_prefix = _draw_prefix()
+_id_counter = itertools.count()
+
 
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """The process's id prefix, then a counter: unique while prefixes differ."""
+    return f"{_id_prefix}{next(_id_counter):08x}"
 
 
 @dataclass(frozen=True)
@@ -59,10 +83,11 @@ class SpanContext:
 
 
 class Span:
-    """One open span; finished spans become plain dicts."""
+    """One open span (``context`` addresses it); finished spans are dicts."""
 
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "attributes", "ts", "_start",
+        "context",
     )
 
     def __init__(
@@ -77,13 +102,9 @@ class Span:
         self.span_id = _new_id()
         self.parent_id = parent_id
         self.attributes = attributes
+        self.context = SpanContext(trace_id, self.span_id)
         self.ts = time.time()
         self._start = time.perf_counter()
-
-    @property
-    def context(self) -> SpanContext:
-        """This span's address, for parenting children (local or remote)."""
-        return SpanContext(self.trace_id, self.span_id)
 
     def set(self, **attributes: object) -> None:
         """Attach attributes discovered mid-span (resolved backend, sizes)."""
@@ -113,6 +134,25 @@ class _NoopSpanCM:
         return False
 
 
+class _SpanScope:
+    """:meth:`Tracer.span`'s context manager (a class: no generator frame)."""
+
+    __slots__ = ("_tracer", "_span", "_token")
+
+    def __init__(self, tracer: "Tracer", opened: Span) -> None:
+        self._tracer = tracer
+        self._span = opened
+
+    def __enter__(self) -> Span:
+        self._token = self._tracer._current.set(self._span.context)
+        return self._span
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self._tracer._current.reset(self._token)
+        self._tracer.finish(self._span)
+        return False
+
+
 _NOOP_SPAN = _NoopSpan()
 _NOOP_CM = _NoopSpanCM()
 
@@ -130,6 +170,7 @@ class Tracer:
         self._finished: deque[dict] = deque(maxlen=buffer_size)
         self._sink_path = sink
         self._sink = open(sink, "a", encoding="utf-8") if sink else None
+        self._unwritten: list[dict] = []
         self._current: ContextVar[SpanContext | None] = ContextVar(
             "repro-trace-current", default=None
         )
@@ -152,9 +193,10 @@ class Tracer:
             parent = self._current.get()
         if isinstance(parent, Span):
             parent = parent.context
+        # ``**attributes`` is already a fresh dict: the span owns it.
         if parent is None:
-            return Span(name, _new_id(), None, dict(attributes))
-        return Span(name, parent.trace_id, parent.span_id, dict(attributes))
+            return Span(name, _new_id(), None, attributes)
+        return Span(name, parent.trace_id, parent.span_id, attributes)
 
     def finish(self, span: Span) -> dict:
         """Stamp the duration and record the finished span."""
@@ -172,21 +214,14 @@ class Tracer:
         self.record(record)
         return record
 
-    @contextmanager
     def span(
         self,
         name: str,
         parent: Span | SpanContext | None = None,
         **attributes: object,
-    ) -> Iterator[Span]:
+    ) -> _SpanScope:
         """Open, nest (ambient context) and finish one span around a block."""
-        opened = self.start(name, parent=parent, **attributes)
-        token = self._current.set(opened.context)
-        try:
-            yield opened
-        finally:
-            self._current.reset(token)
-            self.finish(opened)
+        return _SpanScope(self, self.start(name, parent=parent, **attributes))
 
     @contextmanager
     def context(self, parent: Span | SpanContext | None) -> Iterator[None]:
@@ -239,15 +274,24 @@ class Tracer:
         with self._lock:
             self._finished.append(span_dict)
             if self._sink is not None:
-                self._sink.write(json.dumps(span_dict) + "\n")
-                self._sink.flush()
+                self._unwritten.append(span_dict)
+                if len(self._unwritten) >= SINK_BATCH:
+                    self._write_unwritten()
 
     def write(self, record: dict) -> None:
         """Append a non-span record (e.g. a metrics snapshot) to the sink."""
         with self._lock:
             if self._sink is not None:
-                self._sink.write(json.dumps(record) + "\n")
-                self._sink.flush()
+                self._unwritten.append(record)
+                self._write_unwritten()
+
+    def _write_unwritten(self) -> None:
+        """Serialize and write the pending sink records (lock held)."""
+        if self._sink is None or not self._unwritten:
+            return
+        self._sink.write("".join(json.dumps(r) + "\n" for r in self._unwritten))
+        self._sink.flush()
+        self._unwritten.clear()
 
     def spans(self) -> list[dict]:
         """A copy of the buffered finished spans (oldest first)."""
@@ -259,11 +303,13 @@ class Tracer:
         with self._lock:
             drained = list(self._finished)
             self._finished.clear()
+            self._write_unwritten()
         return drained
 
     def close(self) -> None:
         with self._lock:
             if self._sink is not None:
+                self._write_unwritten()
                 self._sink.close()
                 self._sink = None
 
@@ -290,6 +336,10 @@ def disable_tracing() -> None:
     _ACTIVE = None
 
 
+# A normal exit writes the pending sink lines.
+atexit.register(disable_tracing)
+
+
 def _reset_after_fork() -> None:
     """Drop the inherited tracer in a forked child.
 
@@ -298,10 +348,12 @@ def _reset_after_fork() -> None:
     still owns.  The child must not adopt either: it drops the
     reference without :meth:`Tracer.close` (closing would steal the
     parent's sink) and starts untraced, re-enabling a local tracer
-    explicitly the way the shard/fanout workers do.
+    explicitly the way the shard/fanout workers do.  It also re-draws
+    the id prefix, so its ids never collide with the parent's.
     """
-    global _ACTIVE
+    global _ACTIVE, _id_prefix
     _ACTIVE = None
+    _id_prefix = _draw_prefix(avoid=_id_prefix)
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; a no-op elsewhere
@@ -327,7 +379,7 @@ def span(name: str, parent: Span | SpanContext | None = None, **attributes: obje
     tracer = _ACTIVE
     if tracer is None:
         return _NOOP_CM
-    return tracer.span(name, parent=parent, **attributes)
+    return _SpanScope(tracer, tracer.start(name, parent, **attributes))
 
 
 # -- stitching ---------------------------------------------------------------------

@@ -94,8 +94,8 @@ class ScenarioMatrix:
         Trace length per cell — long enough for a
         :class:`~repro.scenarios.faults.FaultSchedule` to kill *and*
         revive inside the trace (the chaos built-in needs ≥ 7).
-    batch_size, flush_deadline:
-        Serving knobs forwarded to the dispatcher.
+    batch_size:
+        Serving knob forwarded to the dispatcher.
     verify:
         Run the per-instance reference replay and the gates.  Switching
         it off keeps only the throughput measurement (a pure-bench mode).
@@ -111,7 +111,6 @@ class ScenarioMatrix:
         shards: Sequence[int | None] = (None,),
         requests_per_cell: int = 8,
         batch_size: int | None = None,
-        flush_deadline: float | None = None,
         verify: bool = True,
         strict: bool = False,
     ) -> None:
@@ -126,7 +125,6 @@ class ScenarioMatrix:
             requests_per_cell, "requests_per_cell"
         )
         self.batch_size = batch_size
-        self.flush_deadline = flush_deadline
         self.verify = verify
         self.strict = strict
 
@@ -167,10 +165,7 @@ class ScenarioMatrix:
         )
         start = time.perf_counter()
         served = repro.serve(
-            requests,
-            batch_size=self.batch_size,
-            flush_deadline=self.flush_deadline,
-            shards=cell.shards,
+            requests, batch_size=self.batch_size, shards=cell.shards
         )
         elapsed = time.perf_counter() - start
         served_rows = [result.row() for result in served]
@@ -219,10 +214,7 @@ class ScenarioMatrix:
 
         start = time.perf_counter()
         served = repro.serve(
-            trace(),
-            batch_size=self.batch_size,
-            flush_deadline=self.flush_deadline,
-            shards=cell.shards,
+            trace(), batch_size=self.batch_size, shards=cell.shards
         )
         elapsed = time.perf_counter() - start
         served_rows = [result.row() for result in served]

@@ -11,10 +11,12 @@ and keeps the stacked count-class engine saturated anyway:
     honest per-instance ledgers), the request lane (build → pack →
     execute) and the completion/failure path.  :class:`SamplerService`
     runs the lane in-process on a dispatcher thread and a thread pool.
+    Dispatch is work-conserving: requests batch only while every
+    worker is busy, and a request on an idle tier runs at once.
 :mod:`repro.serve.packer`
     :class:`ShapePacker` — re-packs in-flight requests into
-    schedule-shape groups; flushes full groups immediately and partial
-    groups on a latency deadline.
+    schedule-shape groups; flushes full groups immediately and every
+    partial group whenever its owner is idle.
 :mod:`repro.serve.stats`
     :class:`ServiceStats` — live telemetry: instances/sec, batch-fill
     ratio, p50/p99 latency, queue depth, ledger totals (experiment E24).
@@ -35,7 +37,7 @@ Quickstart::
         workload=WorkloadSpec.of("zipf", universe=4096, total=1000),
         n_machines=4,
     )
-    with SamplerService(rng=0, flush_deadline=0.02) as service:
+    with SamplerService(rng=0) as service:
         futures = [service.submit(spec) for _ in range(1000)]
         print(futures[0].result().exact, service.telemetry())
 """
@@ -44,17 +46,11 @@ import sys
 from types import ModuleType
 
 from .packer import ShapePacker
-from .service import (
-    DEFAULT_FLUSH_DEADLINE,
-    SamplerService,
-    ServedRequest,
-    ServiceClosedError,
-)
+from .service import SamplerService, ServedRequest, ServiceClosedError
 from .shard import ShardedSamplerService
 from .stats import ServiceStats
 
 __all__ = [
-    "DEFAULT_FLUSH_DEADLINE",
     "SamplerService",
     "ServedRequest",
     "ServiceClosedError",

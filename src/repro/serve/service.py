@@ -17,10 +17,11 @@ sequence wherever it runs.  This module writes that sequence once:
   key: the service's one stacked substrate (``backend="auto"`` runs
   ``classes``) × schedule shape;
 * **pack** — a :class:`~repro.serve.packer.ShapePacker` re-packs
-  in-flight requests into schedule-shape groups, flushing a group when
-  it is full *or* when its oldest request hits the flush deadline — so
-  the stacked tensor stays saturated under load and latency stays
-  bounded at a trickle.  Every flush emits the batch's ``pack`` span;
+  in-flight requests into schedule-shape groups.  Dispatch is
+  work-conserving (adaptive batching, as in Clipper): a full group
+  flushes at once, and every group flushes as soon as a worker is idle,
+  so requests batch only while every worker is busy.  Every flush emits
+  the batch's ``pack`` span;
 * **execute** — :meth:`_Lane.execute` runs the flushed batch through
   :func:`~repro.batch.engine.execute_class_batch` inside an ``execute``
   span, then each request's ``row_fn``; a failure fails only the
@@ -34,7 +35,7 @@ sequence wherever it runs.  This module writes that sequence once:
 
 :class:`SamplerService` runs the lane in-process: a dispatcher thread
 builds and packs, a thread pool executes flushed batches while the
-dispatcher keeps packing.
+dispatcher keeps packing, and a finished batch wakes the dispatcher.
 :class:`~repro.serve.shard.ShardedSamplerService` is the forked case:
 the same lane runs in single-threaded shard worker processes.
 
@@ -71,14 +72,13 @@ from ..database.fault import apply_fault_mask
 from ..errors import ValidationError
 from ..obs.trace import SpanContext, get_tracer, span
 from ..utils.rng import as_generator, spawn_seed
-from ..utils.validation import require, require_pos_int
+from ..utils.validation import require_pos_int
 from .packer import ShapePacker
 from .stats import ServiceStats
 
-#: Default seconds a request may wait in the packer before a partial flush.
-DEFAULT_FLUSH_DEADLINE = 0.05
-
 _STOP = object()
+#: Put on the input queue by an executor thread when its batch finishes.
+_DONE = object()
 
 _Tier = TypeVar("_Tier", bound="_ServingTier")
 
@@ -365,7 +365,6 @@ class _ServingTier:
         self,
         model: str,
         batch_size: int,
-        flush_deadline: float,
         rng: object,
         include_probabilities: bool,
         row_fn: RowFn,
@@ -390,8 +389,6 @@ class _ServingTier:
         )
         self._backend = backend
         self._batch_size = require_pos_int(batch_size, "batch_size")
-        require(flush_deadline >= 0.0, "flush_deadline must be >= 0")
-        self._flush_deadline = float(flush_deadline)
         self._clock = clock
         self._gen = as_generator(rng)
         self._next_index = 0
@@ -536,7 +533,8 @@ class _ServingTier:
         ``drain=True`` (graceful): every accepted request is packed,
         executed and resolved before the call returns.  ``drain=False``:
         requests not yet executing fail with :class:`ServiceClosedError`
-        (and count as failed); batches already executing still finish.
+        (and count as failed); in-process, batches already executing
+        still finish, while the sharded tier fails those too.
 
         Safe to call from multiple threads: ``_close_lock`` serializes
         the whole teardown, so a second caller blocks until the first
@@ -584,13 +582,12 @@ class SamplerService(_ServingTier):
     batch_size:
         Target instances per stacked tensor (the packer's full-flush
         trigger).
-    flush_deadline:
-        Seconds a request may wait for co-batchable arrivals before its
-        partial group is flushed — the service's latency bound knob.
     workers:
-        Batch-execution threads.  NumPy kernels dominate batch runtime
-        and release the GIL, so a couple of workers overlap execution
-        with packing; process-level fan-out is the sharded tier's job
+        Batch-execution threads, and the dispatch threshold: partial
+        groups wait in the packer only while ``workers`` batches are in
+        flight.  NumPy kernels dominate batch runtime and release the
+        GIL, so a couple of workers overlap execution with packing;
+        process-level fan-out is the sharded tier's job
         (:class:`~repro.serve.shard.ShardedSamplerService`).
     rng:
         Seed source for deterministic per-spec child seeds (submission
@@ -625,7 +622,6 @@ class SamplerService(_ServingTier):
         self,
         model: str = "sequential",
         batch_size: int = DEFAULT_BATCH_SIZE,
-        flush_deadline: float = DEFAULT_FLUSH_DEADLINE,
         workers: int = 2,
         rng: object = None,
         include_probabilities: bool = False,
@@ -635,17 +631,17 @@ class SamplerService(_ServingTier):
         backend: str = "classes",
     ) -> None:
         super().__init__(
-            model, batch_size, flush_deadline, rng, include_probabilities,
-            row_fn, clock, capacity, backend,
+            model, batch_size, rng, include_probabilities, row_fn, clock,
+            capacity, backend,
         )
         self._stats = ServiceStats(clock=clock)
-        self._packer: ShapePacker[ServedRequest] = ShapePacker(
-            batch_size, flush_deadline, clock=clock
-        )
+        self._packer: ShapePacker[ServedRequest] = ShapePacker(batch_size)
         self._input: "queue.SimpleQueue[object]" = queue.SimpleQueue()
         self._abandon = False
+        self._workers = max(1, workers)
+        self._in_flight = 0  # dispatcher-owned; executors report via _DONE
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-serve"
+            max_workers=self._workers, thread_name_prefix="repro-serve"
         )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
@@ -677,23 +673,27 @@ class SamplerService(_ServingTier):
 
     def _dispatch_loop(self) -> None:
         while True:
-            timeout = self._packer.seconds_until_flush()
-            try:
-                item = (
-                    self._input.get()
-                    if timeout is None
-                    else self._input.get(timeout=max(timeout, 1e-4))
-                )
-            except queue.Empty:
-                item = None
+            if self._packer.pending and self._in_flight < self._workers:
+                try:
+                    item = self._input.get_nowait()
+                except queue.Empty:
+                    # Idle lane: no arrival to build and a worker free, so
+                    # holding a partial group could only add latency.
+                    for batch in self._packer.drain():
+                        self._launch(batch)
+                    continue
+            else:
+                item = self._input.get()
             if item is _STOP:
                 break
-            if item is not None:
-                key = self._lane.build(item, self._fail_request)
-                if key is not None:
-                    self._packer.add(key, item)
-            for batch in self._packer.pop_ready():
-                self._launch(batch)
+            if item is _DONE:
+                self._in_flight -= 1
+                continue
+            key = self._lane.build(item, self._fail_request)
+            if key is not None:
+                self._packer.add(key, item)
+                for batch in self._packer.pop_full():
+                    self._launch(batch)
         # Shutdown: the input queue is FIFO and nothing is accepted after
         # _STOP, so every accepted request now sits in the packer.
         for batch in self._packer.drain():
@@ -708,13 +708,17 @@ class SamplerService(_ServingTier):
     def _launch(self, batch: list[ServedRequest]) -> None:
         _trace_pack(batch, self._clock())
         self._stats.record_batch(len(batch), self._batch_size)
+        self._in_flight += 1
         self._executor.submit(self._execute_batch, batch)
 
     def _execute_batch(self, batch: list[ServedRequest]) -> None:
-        done = self._lane.execute(batch, self._fail_request)
-        completed_at = self._clock()
-        for request, result, row in done:
-            _complete(request, result, row, self._stats, completed_at)
+        try:
+            done = self._lane.execute(batch, self._fail_request)
+            completed_at = self._clock()
+            for request, result, row in done:
+                _complete(request, result, row, self._stats, completed_at)
+        finally:
+            self._input.put(_DONE)  # wake the dispatcher: a worker is free
 
     def _fail_request(self, request: ServedRequest, error: BaseException) -> None:
         _reject(request, error, self._stats)

@@ -12,12 +12,13 @@ plain-scalar dict ready for report tables and JSON artifacts:
     throughput rates.
 ``batch_fill_ratio``
     Executed instances over offered tensor capacity, ``Σ size / Σ
-    target``: 1.0 means the packer always filled the stacked tensor,
-    lower values quantify the latency-for-throughput trade the deadline
-    flush makes.  The ratio is weighted by target size — a near-empty
-    deadline flush at a trickle moves it by its actual share of
-    capacity, not by a full batch's worth (the old unweighted mean let
-    one straggler batch skew the stat).
+    target``: 1.0 means the packer always filled the stacked tensor.
+    Dispatch is work-conserving, so the ratio measures load, not a
+    tuning trade: requests batch only while every worker is busy, and a
+    trickle runs batches of one (fill ``1/batch_size``).  The ratio is
+    weighted by target size — a near-empty idle flush moves it by its
+    actual share of capacity, not by a full batch's worth (the old
+    unweighted mean let one straggler batch skew the stat).
 ``fill_p10`` / ``fill_p50`` / ``fill_p90``
     Per-batch fill percentiles over a bounded window of recent batches
     (:data:`FILL_WINDOW`) — the distribution the weighted mean hides:

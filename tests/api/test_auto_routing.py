@@ -88,9 +88,7 @@ class TestEveryResolutionSite:
 
     @pytest.mark.parametrize("model,universe", GRID)
     def test_serving_dispatcher_resolves_classes(self, model, universe):
-        with SamplerService(
-            model=model, backend="auto", batch_size=1, flush_deadline=0.001
-        ) as service:
+        with SamplerService(model=model, backend="auto", batch_size=1) as service:
             result = service.submit(spec_of(universe), seed=1).result(timeout=WAIT)
         assert result.backend == "classes"
         assert result.exact

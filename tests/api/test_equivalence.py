@@ -147,11 +147,8 @@ class TestServedStrategy:
             [SamplingRequest(spec=spec, include_probabilities=False) for spec in specs],
             rng=7,
             batch_size=4,
-            flush_deadline=0.01,
         )
-        with SamplerService(
-            rng=7, batch_size=4, flush_deadline=0.01, backend="auto"
-        ) as service:
+        with SamplerService(rng=7, batch_size=4, backend="auto") as service:
             for spec in specs:
                 service.submit(spec)
             legacy_rows = service.rows()
@@ -172,12 +169,11 @@ class TestServedStrategy:
             SamplingRequest(spec=spec, include_probabilities=False, shards=2)
             for spec in specs
         ]
-        sharded = serve(requests, rng=7, batch_size=4, flush_deadline=0.01)
+        sharded = serve(requests, rng=7, batch_size=4)
         unsharded = serve(
             [SamplingRequest(spec=spec, include_probabilities=False) for spec in specs],
             rng=7,
             batch_size=4,
-            flush_deadline=0.01,
         )
         assert sharded.telemetry is not None
         assert sharded.telemetry["shards"] == 2

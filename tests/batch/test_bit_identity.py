@@ -6,7 +6,7 @@ bit** — fidelity, output distribution, class amplitudes, ledger and
 schedule — whatever batch it ran in.  A hypothesis property shuffles a
 pool of instances and cuts it into random chunks: the chunking must
 never change a row, and neither may the batches either serving tier's
-flush deadline forms.
+dispatch forms.
 """
 
 import numpy as np
@@ -205,7 +205,7 @@ class TestServedRows:
         """Live snapshots of the pool through either tier: the packers
         mix ν within each schedule shape, and every row still equals
         the per-instance run."""
-        options = dict(model=model, batch_size=5, flush_deadline=0.01)
+        options = dict(model=model, batch_size=5)
         service = (
             SamplerService(**options)
             if shards is None

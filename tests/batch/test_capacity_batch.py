@@ -125,8 +125,7 @@ class TestCapacityPolicySurface:
 
         stream = UpdateStream(mostly_empty_db, [])
         with SamplerService(
-            model="parallel", batch_size=2, flush_deadline=0.01,
-            capacity="skip_empty",
+            model="parallel", batch_size=2, capacity="skip_empty",
         ) as service:
             future = service.submit_live(stream)
             result = future.result(timeout=60)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.metrics import METRICS
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import disable_tracing, enable_tracing, get_tracer
@@ -66,6 +67,18 @@ class TestForkHygiene:
             assert get_tracer() is tracer
         finally:
             disable_tracing()
+
+    def test_parent_and_child_ids_never_collide(self):
+        """Span ids are a per-process random prefix plus a counter; the
+        fork hook re-draws the child's prefix, so ids minted on both
+        sides of a fork stay distinct even though the child inherits the
+        parent's counter."""
+        before = [trace._new_id() for _ in range(100)]
+        child = _fork_and_probe(lambda: [trace._new_id() for _ in range(1000)])
+        after = [trace._new_id() for _ in range(1000)]
+        assert len(set(child)) == len(child) == 1000
+        assert not set(child) & (set(before) | set(after))
+        assert {i[:8] for i in child}.isdisjoint({i[:8] for i in before + after})
 
     def test_child_ring_is_empty_parent_ring_intact(self):
         recorder = FlightRecorder(capacity=8)

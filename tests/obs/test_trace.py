@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -118,6 +120,56 @@ class TestTracer:
         assert [r.get("name", r["kind"]) for r in records] == [
             "build", "execute", "metrics",
         ]
+
+    def test_ids_stay_unique_across_threads(self):
+        """Stress: ids come from a shared counter, not a lock; threads
+        minting at a tiny switch interval never draw the same one."""
+        from repro.obs.trace import _new_id
+
+        minted: list[list[str]] = [[] for _ in range(8)]
+
+        def mint(out: list[str]) -> None:
+            for _ in range(2000):
+                out.append(_new_id())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mint, args=(out,)) for out in minted]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [i for out in minted for i in out]
+        assert len(set(ids)) == len(ids) == 16000
+
+    def test_sink_lines_are_written_in_bulk(self, tmp_path, monkeypatch):
+        """Finishing a span writes nothing; pending lines go out once
+        ``SINK_BATCH`` of them wait, or at drain/write/close."""
+        monkeypatch.setattr("repro.obs.trace.SINK_BATCH", 3)
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sink=str(path))
+
+        def lines():
+            return len(path.read_text().splitlines())
+
+        tracer.finish(tracer.start("a"))
+        tracer.finish(tracer.start("b"))
+        assert lines() == 0
+        tracer.finish(tracer.start("c"))
+        assert lines() == 3
+        tracer.finish(tracer.start("d"))
+        tracer.drain()
+        assert lines() == 4
+        tracer.finish(tracer.start("e"))
+        tracer.write({"kind": "metrics", "metrics": {}})
+        assert lines() == 6
+        tracer.finish(tracer.start("f"))
+        tracer.close()
+        assert lines() == 7
 
 
 class TestGlobalTracer:

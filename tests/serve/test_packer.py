@@ -1,4 +1,4 @@
-"""ShapePacker: full flushes, deadline flushes, ordering, drain."""
+"""ShapePacker: full flushes, ordering, drain."""
 
 import pytest
 
@@ -6,97 +6,50 @@ from repro.errors import ValidationError
 from repro.serve import ShapePacker
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-@pytest.fixture
-def clock():
-    return FakeClock()
-
-
 class TestFullFlush:
-    def test_full_group_flushes_immediately(self, clock):
-        packer = ShapePacker(batch_size=3, flush_deadline=10.0, clock=clock)
+    def test_full_group_flushes_immediately(self):
+        packer = ShapePacker(batch_size=3)
         for item in "abc":
             packer.add("shape", item)
-        assert list(packer.pop_ready()) == [["a", "b", "c"]]
+        assert list(packer.pop_full()) == [["a", "b", "c"]]
         assert packer.pending == 0
 
-    def test_oversized_group_flushes_in_chunks(self, clock):
-        packer = ShapePacker(batch_size=2, flush_deadline=10.0, clock=clock)
+    def test_oversized_group_flushes_in_chunks(self):
+        packer = ShapePacker(batch_size=2)
         for item in range(5):
             packer.add("shape", item)
-        batches = list(packer.pop_ready())
-        assert batches == [[0, 1], [2, 3]]  # the trailing 1 is not overdue
+        batches = list(packer.pop_full())
+        assert batches == [[0, 1], [2, 3]]  # the trailing 1 is not full
         assert packer.pending == 1
 
-    def test_groups_do_not_mix(self, clock):
-        packer = ShapePacker(batch_size=2, flush_deadline=10.0, clock=clock)
+    def test_partial_group_stays(self):
+        packer = ShapePacker(batch_size=4)
+        packer.add("shape", "a")
+        assert list(packer.pop_full()) == []
+        assert packer.pending == 1
+
+    def test_groups_do_not_mix(self):
+        packer = ShapePacker(batch_size=2)
         packer.add("x", 1)
         packer.add("y", 2)
         packer.add("x", 3)
         packer.add("y", 4)
-        assert list(packer.pop_ready()) == [[1, 3], [2, 4]]
-
-
-class TestDeadlineFlush:
-    def test_partial_group_waits_until_deadline(self, clock):
-        packer = ShapePacker(batch_size=4, flush_deadline=1.0, clock=clock)
-        packer.add("shape", "a")
-        assert list(packer.pop_ready()) == []
-        clock.advance(0.5)
-        assert list(packer.pop_ready()) == []
-        clock.advance(0.6)
-        assert list(packer.pop_ready()) == [["a"]]
-
-    def test_deadline_measured_from_oldest(self, clock):
-        packer = ShapePacker(batch_size=4, flush_deadline=1.0, clock=clock)
-        packer.add("shape", "old")
-        clock.advance(0.9)
-        packer.add("shape", "new")
-        clock.advance(0.2)  # old is 1.1s, new only 0.2s — both flush together
-        assert list(packer.pop_ready()) == [["old", "new"]]
-
-    def test_zero_deadline_flushes_every_add(self, clock):
-        packer = ShapePacker(batch_size=100, flush_deadline=0.0, clock=clock)
-        packer.add("shape", 1)
-        assert list(packer.pop_ready()) == [[1]]
-
-    def test_seconds_until_flush(self, clock):
-        packer = ShapePacker(batch_size=4, flush_deadline=1.0, clock=clock)
-        assert packer.seconds_until_flush() is None
-        packer.add("shape", "a")
-        clock.advance(0.25)
-        assert packer.seconds_until_flush() == pytest.approx(0.75)
-        clock.advance(2.0)
-        assert packer.seconds_until_flush() == 0.0
+        assert list(packer.pop_full()) == [[1, 3], [2, 4]]
 
 
 class TestDrain:
-    def test_drain_flushes_everything_chunked(self, clock):
-        packer = ShapePacker(batch_size=2, flush_deadline=100.0, clock=clock)
+    def test_drain_flushes_everything_chunked(self):
+        packer = ShapePacker(batch_size=2)
         for item in range(3):
             packer.add("x", item)
         packer.add("y", "solo")
         batches = list(packer.drain())
         assert batches == [[0, 1], [2], ["solo"]]
         assert packer.pending == 0
-        assert packer.seconds_until_flush() is None
+        assert list(packer.drain()) == []
 
 
 class TestValidationGuards:
-    def test_bad_batch_size(self, clock):
+    def test_bad_batch_size(self):
         with pytest.raises(ValidationError):
-            ShapePacker(batch_size=0, flush_deadline=1.0, clock=clock)
-
-    def test_negative_deadline(self, clock):
-        with pytest.raises(ValidationError):
-            ShapePacker(batch_size=1, flush_deadline=-0.1, clock=clock)
+            ShapePacker(batch_size=0)

@@ -1,11 +1,15 @@
-"""SamplerService: equivalence, re-packing, deadlines, shutdown, dynamics.
+"""SamplerService: equivalence, re-packing, dispatch, shutdown, dynamics.
 
 The lifecycle suite (shutdown, failure isolation, housekeeping, telemetry
 ordering) runs on both tiers: the sharded tier shares the in-process
 future surface, request lane and resolution path, so it must behave the
-same.
+same.  Tests that need requests to queue hold them behind a worker
+blocked in the ``hold`` fixture's ``row_fn`` (``conftest.py``): dispatch
+is work-conserving, so nothing waits while a worker is free.
 """
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -40,6 +44,25 @@ def make_tier(request):
     return request.param
 
 
+def one_thread(**kwargs) -> SamplerService:
+    return SamplerService(workers=1, **kwargs)
+
+
+def one_shard(**kwargs) -> ShardedSamplerService:
+    return ShardedSamplerService(shards=1, **kwargs)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(one_thread, id="in-process"),
+        pytest.param(one_shard, id="sharded"),
+    ]
+)
+def make_one_worker_tier(request):
+    """Either tier with a single worker — the one a ``hold`` blocks."""
+    return request.param
+
+
 def bad_spec() -> InstanceSpec:
     """A recipe whose build raises (no machines to shard onto)."""
     return InstanceSpec(
@@ -62,6 +85,17 @@ def spec_of(total: int, n_machines: int = 2, tag: str = "") -> InstanceSpec:
     )
 
 
+def same_shape_spec(tag: str) -> InstanceSpec:
+    """``nu`` pinned: every seed builds the same overlap M/(νN), hence
+    provably the same schedule shape."""
+    return InstanceSpec(
+        workload=WorkloadSpec.of("zipf", universe=64, total=48),
+        n_machines=2,
+        nu=48,
+        tag=tag,
+    )
+
+
 def mixed_specs():
     """Six specs over two overlap regimes → at least two schedule shapes."""
     return [spec_of(48, 2, f"hi{k}") if k % 2 else spec_of(6, 3, f"lo{k}")
@@ -79,7 +113,7 @@ def assert_rows_equivalent(served_rows, reference_rows):
 class TestBatchedEquivalence:
     def test_served_rows_match_run_batched(self):
         specs = mixed_specs()
-        with SamplerService(rng=7, batch_size=4, flush_deadline=0.01) as service:
+        with SamplerService(rng=7, batch_size=4) as service:
             for spec in specs:
                 service.submit(spec)
             rows = service.rows()
@@ -87,9 +121,7 @@ class TestBatchedEquivalence:
 
     def test_parallel_model(self):
         specs = mixed_specs()
-        with SamplerService(
-            model="parallel", rng=3, batch_size=4, flush_deadline=0.01
-        ) as service:
+        with SamplerService(model="parallel", rng=3, batch_size=4) as service:
             for spec in specs:
                 service.submit(spec)
             rows = service.rows()
@@ -99,7 +131,7 @@ class TestBatchedEquivalence:
 
     def test_futures_resolve_in_submission_order(self):
         specs = mixed_specs()
-        with SamplerService(rng=0, batch_size=3, flush_deadline=0.01) as service:
+        with SamplerService(rng=0, batch_size=3) as service:
             futures = [service.submit(spec) for spec in specs]
             assert service.requests() == futures
             labels = [req.label for req, _ in service.iter_results()]
@@ -107,9 +139,9 @@ class TestBatchedEquivalence:
 
 
 class TestShapeRepacking:
-    def test_mixed_shapes_split_into_shape_groups(self):
-        """With no full or deadline flush possible, the drain executes one
-        batch per distinct schedule shape — shape-keyed re-packing."""
+    def test_mixed_shapes_split_into_shape_groups(self, hold):
+        """Requests queued behind a busy worker flush, once it frees, as
+        one batch per distinct schedule shape — shape-keyed re-packing."""
         specs = mixed_specs()
         # Reproduce the service's seed draws to find the expected shapes.
         gen = as_generator(11)
@@ -120,43 +152,44 @@ class TestShapeRepacking:
             shapes.add((plan.grover_reps, plan.needs_final))
         assert len(shapes) >= 2  # the fixture must actually mix shapes
 
-        service = SamplerService(rng=11, batch_size=64, flush_deadline=30.0)
+        service = one_thread(rng=11, batch_size=64, row_fn=hold.row_fn)
+        # An explicit seed draws nothing: the specs keep the seeds above.
+        service.submit(spec_of(24, tag="blocker"), seed=0)
+        hold.wait_entered()
         for spec in specs:
             service.submit(spec)
+        hold.release()
         service.close(drain=True)
         telemetry = service.telemetry()
-        assert telemetry["batches_executed"] == len(shapes)
-        assert telemetry["completed"] == len(specs)
-        assert telemetry["exact"] == len(specs)
+        assert telemetry["batches_executed"] == 1 + len(shapes)
+        assert telemetry["completed"] == 1 + len(specs)
+        assert telemetry["exact"] == 1 + len(specs)
 
-    def test_full_group_flushes_before_deadline(self):
-        """A shape group hitting batch_size flushes immediately even though
-        the deadline is far away.  ``nu`` is pinned so every instance has
-        the same overlap M/(νN) — hence provably the same shape — no
-        matter what its child seed drew."""
-        specs = [
-            InstanceSpec(
-                workload=WorkloadSpec.of("zipf", universe=64, total=48),
-                n_machines=2,
-                nu=48,
-                tag=f"r{k}",
-            )
-            for k in range(4)
-        ]
-        with SamplerService(rng=5, batch_size=4, flush_deadline=30.0) as service:
-            start = service._clock()
-            futures = [service.submit(spec) for spec in specs]
-            results = [f.result(timeout=WAIT) for f in futures]
-            elapsed = service._clock() - start
-        assert all(r.exact for r in results)
-        assert elapsed < 10.0  # full flush, not the 30 s deadline
+    def test_full_group_flushes_while_workers_are_busy(self, hold):
+        """A shape group hitting batch_size launches at once, even though
+        its only worker is still busy."""
+        service = one_thread(rng=5, batch_size=4, row_fn=hold.row_fn)
+        try:
+            blocker = service.submit(spec_of(24, tag="blocker"))
+            hold.wait_entered()
+            futures = [service.submit(same_shape_spec(f"r{k}")) for k in range(4)]
+            deadline = time.monotonic() + WAIT
+            while service.telemetry()["batches_executed"] < 2:
+                assert time.monotonic() < deadline, "the full group never launched"
+                time.sleep(0.005)
+            assert not any(f.done() for f in futures)  # launched, still queued
+            hold.release()
+            assert all(f.result(timeout=WAIT).exact for f in [blocker, *futures])
+        finally:
+            service.close()
+        assert service.telemetry()["mean_batch_size"] == 2.5
 
 
-class TestDeadlineFlush:
+class TestWorkConservingDispatch:
     def test_partial_batch_served_without_close(self):
-        """Fewer requests than batch_size still complete, bounded by the
-        flush deadline — no drain needed."""
-        service = SamplerService(rng=1, batch_size=256, flush_deadline=0.05)
+        """Fewer requests than batch_size still complete on an idle
+        service — no drain needed."""
+        service = SamplerService(rng=1, batch_size=256)
         try:
             futures = [service.submit(spec_of(24)) for _ in range(3)]
             results = [f.result(timeout=WAIT) for f in futures]
@@ -168,7 +201,7 @@ class TestDeadlineFlush:
             service.close()
 
     def test_latency_tracked_per_request(self):
-        service = SamplerService(rng=1, batch_size=256, flush_deadline=0.02)
+        service = SamplerService(rng=1, batch_size=256)
         try:
             service.submit(spec_of(24)).result(timeout=WAIT)
             telemetry = service.telemetry()
@@ -177,16 +210,84 @@ class TestDeadlineFlush:
         finally:
             service.close()
 
+    def test_lone_request_runs_while_the_clock_stands_still(self):
+        """An idle service runs a request at once: no timer has to fire,
+        so it resolves even under an injected clock that never moves."""
+        service = SamplerService(rng=1, batch_size=256, clock=lambda: 0.0)
+        try:
+            assert service.submit(spec_of(24)).result(timeout=WAIT).exact
+            assert service.telemetry()["batches_executed"] == 1
+        finally:
+            service.close()
+
+    def test_arrivals_behind_busy_workers_run_as_one_batch(
+        self, make_one_worker_tier, hold
+    ):
+        """Requests that arrive while every worker is blocked wait in the
+        packer, however far apart they arrive, and run as one batch once
+        a worker frees."""
+        service = make_one_worker_tier(rng=5, batch_size=64, row_fn=hold.row_fn)
+        try:
+            futures = [service.submit(same_shape_spec("blocker"))]
+            hold.wait_entered()
+            for k in range(3):
+                time.sleep(0.1)
+                futures.append(service.submit(same_shape_spec(f"q{k}")))
+            hold.release()
+            assert all(f.result(timeout=WAIT).exact for f in futures)
+            telemetry = service.telemetry()
+        finally:
+            service.close()
+        assert telemetry["batches_executed"] == 2
+        assert telemetry["mean_batch_size"] == 2.0
+
+    def test_concurrent_submitters_lose_no_request(self):
+        """Stress: more workers than cores, four submitting threads and a
+        tiny switch interval.  A lost wake-up would strand requests in
+        the packer; every request must still run exactly once."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SamplerService(rng=3, batch_size=4, workers=3) as service:
+                def submit_many():
+                    for k in range(16):
+                        service.submit(spec_of(24, tag=f"s{k}"))
+
+                threads = [threading.Thread(target=submit_many) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(WAIT)
+                    assert not thread.is_alive()
+                futures = service.requests()
+                assert all(f.result(timeout=WAIT).exact for f in futures)
+                telemetry = service.telemetry()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(futures) == telemetry["completed"] == 64
+        assert telemetry["batches_executed"] * telemetry["mean_batch_size"] == (
+            pytest.approx(64)
+        )
+        assert telemetry["queue_depth"] == 0
+
 
 class TestShutdown:
-    def test_graceful_close_drains_everything(self, make_tier):
-        """Requests parked behind a huge deadline + oversize batch are all
-        executed by close(drain=True)."""
+    def test_graceful_close_drains_everything(self, make_one_worker_tier, hold):
+        """Requests queued behind a blocked worker are all executed by
+        close(drain=True), which waits for them."""
         specs = [spec_of(24, tag=f"d{k}") for k in range(5)]
-        service = make_tier(rng=2, batch_size=64, flush_deadline=60.0)
-        futures = [service.submit(spec) for spec in specs]
-        assert not any(f.done() for f in futures)  # nothing can flush yet
-        service.close(drain=True)
+        service = make_one_worker_tier(rng=2, batch_size=64, row_fn=hold.row_fn)
+        futures = [service.submit(specs[0])]
+        hold.wait_entered()
+        futures += [service.submit(spec) for spec in specs[1:]]
+        assert not any(f.done() for f in futures)  # the worker is held
+        closer = threading.Thread(target=service.close, kwargs={"drain": True})
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive()  # a graceful close waits for every request
+        hold.release()
+        closer.join(WAIT)
+        assert not closer.is_alive()
         assert all(f.done() for f in futures)
         assert all(f.result().exact for f in futures)
         assert service.telemetry()["queue_depth"] == 0
@@ -202,21 +303,35 @@ class TestShutdown:
         service.close()
         service.close()
 
-    def test_abandoning_close_fails_pending_requests(self, make_tier):
-        service = make_tier(rng=2, batch_size=64, flush_deadline=60.0)
-        futures = [service.submit(spec_of(24)) for _ in range(3)]
-        service.close(drain=False)
-        for future in futures:
+    def test_abandoning_close_fails_pending_requests(self, make_one_worker_tier, hold):
+        service = make_one_worker_tier(rng=2, batch_size=64, row_fn=hold.row_fn)
+        running = service.submit(spec_of(24))
+        hold.wait_entered()  # the only worker holds the first request
+        queued = [service.submit(spec_of(24)) for _ in range(3)]
+        closer = threading.Thread(target=service.close, kwargs={"drain": False})
+        closer.start()
+        for future in queued:
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=WAIT)
+        hold.release()
+        closer.join(WAIT)
+        assert not closer.is_alive()
+        forked = isinstance(service, ShardedSamplerService)
+        if forked:
+            # The forked tier fails every unresolved request, running ones too.
+            with pytest.raises(ServiceClosedError):
+                running.result(timeout=WAIT)
+        else:
+            # In-process, a batch already executing still finishes.
+            assert running.result(timeout=WAIT).exact
         telemetry = service.telemetry()
-        assert telemetry["failed"] == 3
+        assert telemetry["failed"] == (4 if forked else 3)
         assert telemetry["queue_depth"] == 0
 
 
 class TestFailureIsolation:
     def test_bad_spec_fails_only_its_future(self, make_tier):
-        with make_tier(rng=4, batch_size=4, flush_deadline=0.01) as service:
+        with make_tier(rng=4, batch_size=4) as service:
             good_before = service.submit(spec_of(24))
             failed = service.submit(bad_spec())
             good_after = service.submit(spec_of(24))
@@ -227,9 +342,7 @@ class TestFailureIsolation:
         assert service.telemetry()["completed"] == 2
 
     def test_raising_row_fn_fails_only_its_request(self, make_tier):
-        with make_tier(
-            rng=4, batch_size=4, flush_deadline=0.01, row_fn=row_fn_failing_on_tag
-        ) as service:
+        with make_tier(rng=4, batch_size=4, row_fn=row_fn_failing_on_tag) as service:
             good_before = service.submit(spec_of(24, tag="ok"))
             failed = service.submit(spec_of(24, tag="bad-row"))
             good_after = service.submit(spec_of(24, tag="ok"))
@@ -262,12 +375,12 @@ class TestTelemetryOrdering:
         disable_tracing()
 
     def test_completion_counted_before_result_returns(self, make_tier, slow_tracing):
-        with make_tier(rng=0, batch_size=1, flush_deadline=0.01) as service:
+        with make_tier(rng=0, batch_size=1) as service:
             service.submit(spec_of(24)).result(timeout=WAIT)
             assert service.telemetry()["completed"] == 1
 
     def test_failure_counted_before_exception_returns(self, make_tier, slow_tracing):
-        with make_tier(rng=0, batch_size=1, flush_deadline=0.01) as service:
+        with make_tier(rng=0, batch_size=1) as service:
             assert service.submit(bad_spec()).exception(timeout=WAIT) is not None
             assert service.telemetry()["failed"] == 1
 
@@ -277,9 +390,7 @@ class TestStackedDenseServing:
 
     def test_subspace_rows_match_run_batched_subspace(self):
         specs = mixed_specs()
-        with SamplerService(
-            rng=7, batch_size=4, flush_deadline=0.01, backend="subspace"
-        ) as service:
+        with SamplerService(rng=7, batch_size=4, backend="subspace") as service:
             for spec in specs:
                 service.submit(spec)
             rows = service.rows()
@@ -296,9 +407,7 @@ class TestStackedDenseServing:
             n_machines=2,
             tag="large",
         )
-        with SamplerService(
-            rng=3, batch_size=8, flush_deadline=0.01, backend="auto"
-        ) as service:
+        with SamplerService(rng=3, batch_size=8, backend="auto") as service:
             futures = {
                 "small": service.submit(small),
                 "large": service.submit(large),
@@ -312,9 +421,7 @@ class TestStackedDenseServing:
         db = round_robin(zipf_dataset(128, 48, exponent=1.2, rng=0), n_machines=2)
         stream = random_update_stream(db, 5, rng=1)
         stream.class_state()
-        with SamplerService(
-            rng=0, batch_size=2, flush_deadline=0.01, backend="auto"
-        ) as service:
+        with SamplerService(rng=0, batch_size=2, backend="auto") as service:
             live = service.submit_live(stream).result(timeout=WAIT)
             spec = service.submit(spec_of(24)).result(timeout=WAIT)
         assert live.backend == "classes"  # snapshots are count-class views
@@ -361,7 +468,7 @@ def mixed_nu_specs():
 class TestMixedNuServing:
     def test_mixed_nu_rows_match_run_batched(self):
         specs = mixed_nu_specs()
-        with SamplerService(rng=7, batch_size=4, flush_deadline=0.01) as service:
+        with SamplerService(rng=7, batch_size=4) as service:
             for spec in specs:
                 service.submit(spec)
             rows = service.rows()
@@ -369,17 +476,20 @@ class TestMixedNuServing:
         assert len({row["nu"] for row in rows}) > 1
         assert_rows_equivalent(rows, reference.rows)
 
-    def test_one_shape_of_mixed_widths_drains_as_one_batch(self):
+    def test_one_shape_of_mixed_widths_drains_as_one_batch(self, hold):
         # One schedule shape, five class widths: one packer group, so the
-        # drain executes a single CSR batch.
+        # requests queued behind the blocker run as a single CSR batch.
         specs = mixed_nu_specs()
-        service = SamplerService(rng=11, batch_size=64, flush_deadline=30.0)
+        service = one_thread(rng=11, batch_size=64, row_fn=hold.row_fn)
+        service.submit(spec_of(24, tag="blocker"), seed=0)
+        hold.wait_entered()
         for spec in specs:
             service.submit(spec)
+        hold.release()
         service.close(drain=True)
         telemetry = service.telemetry()
-        assert telemetry["batches_executed"] == 1
-        assert telemetry["completed"] == telemetry["exact"] == len(specs)
+        assert telemetry["batches_executed"] == 2
+        assert telemetry["completed"] == telemetry["exact"] == 1 + len(specs)
 
 
 class TestDynamicServing:
@@ -390,7 +500,7 @@ class TestDynamicServing:
     def test_mid_stream_requests_pin_submission_state(self):
         db, stream = self._stream()
         stream.class_state()  # prime the live view
-        with SamplerService(rng=0, batch_size=4, flush_deadline=0.01) as service:
+        with SamplerService(rng=0, batch_size=4) as service:
             before = service.submit_live(stream, label="before")
             m_before = db.total_count
             stream.apply_all()
@@ -405,9 +515,7 @@ class TestDynamicServing:
         db, stream = self._stream(rng=3)
         stream.class_state()
         stream.apply_all()
-        with SamplerService(
-            rng=0, batch_size=4, flush_deadline=0.01, include_probabilities=True
-        ) as service:
+        with SamplerService(rng=0, batch_size=4, include_probabilities=True) as service:
             served = service.submit_live(stream).result(timeout=WAIT)
         reference = SequentialSampler(db, backend="classes").run()
         assert served.ledger.summary() == reference.ledger.summary()
@@ -432,7 +540,7 @@ class TestDynamicServing:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(ClassVector, "uniform", classmethod(counting_uniform))
-        with SamplerService(rng=0, batch_size=2, flush_deadline=0.01) as service:
+        with SamplerService(rng=0, batch_size=2) as service:
             futures = []
             for _ in range(3):
                 futures.append(service.submit_live(stream))
@@ -449,7 +557,7 @@ class TestDynamicServing:
     def test_row_for_live_request_carries_audit_columns(self):
         db, stream = self._stream(rng=7)
         stream.class_state()
-        with SamplerService(rng=0, batch_size=2, flush_deadline=0.01) as service:
+        with SamplerService(rng=0, batch_size=2) as service:
             row = service.submit_live(stream, label="live-7").row()
         assert row["label"] == "live-7"
         assert row["backend"] == "classes"
@@ -460,7 +568,7 @@ class TestDynamicServing:
 
 class TestLongLivedHousekeeping:
     def test_purge_completed_drops_resolved_requests(self, make_tier):
-        service = make_tier(rng=0, batch_size=2, flush_deadline=0.01)
+        service = make_tier(rng=0, batch_size=2)
         try:
             futures = [service.submit(spec_of(24)) for _ in range(4)]
             for future in futures:
@@ -479,15 +587,13 @@ class TestLongLivedHousekeeping:
             service.close()
 
     def test_snapshot_released_after_execution(self, make_tier):
-        with make_tier(rng=0, batch_size=2, flush_deadline=0.01) as service:
+        with make_tier(rng=0, batch_size=2) as service:
             future = service.submit(spec_of(24))
             future.result(timeout=WAIT)
         assert future._instance is None  # the O(N) snapshot is freed
 
     def test_concurrent_close_calls_both_drain(self, make_tier):
-        import threading
-
-        service = make_tier(rng=0, batch_size=64, flush_deadline=60.0)
+        service = make_tier(rng=0, batch_size=64)
         futures = [service.submit(spec_of(24)) for _ in range(6)]
         threads = [threading.Thread(target=service.close) for _ in range(2)]
         for t in threads:

@@ -57,11 +57,11 @@ class TestEquivalence:
         # Same request stream + rng → identical rows, independent of the
         # shard count: the tier's core determinism contract.
         specs = [spec_of(tag=f"t{i % 3}") for i in range(24)]
-        with SamplerService(rng=42, flush_deadline=0.01) as plain:
+        with SamplerService(rng=42) as plain:
             plain_futures = [plain.submit(s) for s in specs]
         plain_rows = [f.row() for f in plain_futures]
 
-        with ShardedSamplerService(shards=2, rng=42, flush_deadline=0.01) as tier:
+        with ShardedSamplerService(shards=2, rng=42) as tier:
             futures = [tier.submit(s) for s in specs]
             rows = [f.row() for f in futures]
             telemetry = tier.telemetry()
@@ -73,9 +73,7 @@ class TestEquivalence:
         assert telemetry["worker_restarts"] == 0
 
     def test_results_carry_full_sampling_surface(self):
-        with ShardedSamplerService(
-            shards=2, rng=7, include_probabilities=True, flush_deadline=0.01
-        ) as tier:
+        with ShardedSamplerService(shards=2, rng=7, include_probabilities=True) as tier:
             future = tier.submit(spec_of(universe=128, total=20))
             result = future.result(timeout=30)
         assert result.exact
@@ -88,7 +86,7 @@ class TestEquivalence:
         db = round_robin(zipf_dataset(64, 12, exponent=1.2, rng=3), n_machines=3)
         stream = random_update_stream(db, 5, rng=5)
         stream.class_state()  # prime the O(1)-maintained view
-        with ShardedSamplerService(shards=2, rng=1, flush_deadline=0.01) as tier:
+        with ShardedSamplerService(shards=2, rng=1) as tier:
             future = tier.submit_live(stream)
             result = future.result(timeout=30)
         assert result.exact
@@ -97,8 +95,7 @@ class TestEquivalence:
 
     def test_subspace_backend_round_trips_dense_states(self):
         with ShardedSamplerService(
-            shards=2, rng=9, backend="subspace", flush_deadline=0.01,
-            include_probabilities=True,
+            shards=2, rng=9, backend="subspace", include_probabilities=True,
         ) as tier:
             futures = [tier.submit(spec_of(universe=64, total=10)) for _ in range(6)]
             results = [f.result(timeout=30) for f in futures]
@@ -123,10 +120,10 @@ class TestMixedNuSharding:
 
     def test_mixed_nu_rows_match_unsharded(self):
         specs = self.mixed_nu_specs()
-        with SamplerService(rng=42, flush_deadline=0.01) as plain:
+        with SamplerService(rng=42) as plain:
             plain_rows = [plain.submit(s).row() for s in specs]
 
-        with ShardedSamplerService(shards=2, rng=42, flush_deadline=0.01) as tier:
+        with ShardedSamplerService(shards=2, rng=42) as tier:
             futures = [tier.submit(s) for s in specs]
             rows = [f.row() for f in futures]
             telemetry = tier.telemetry()
@@ -145,8 +142,7 @@ class TestLifecycle:
             tier.submit(spec_of())
 
     def test_close_without_drain_fails_pending(self):
-        tier = ShardedSamplerService(shards=1, rng=0, flush_deadline=30.0,
-                                     batch_size=10_000)
+        tier = ShardedSamplerService(shards=1, rng=0, batch_size=10_000)
         future = tier.submit(spec_of())
         tier.close(drain=False)
         # Either the worker already resolved it, or it failed closed;
@@ -170,22 +166,23 @@ class TestLifecycle:
 
 
 class TestWorkerDeathRecovery:
-    def test_killed_shard_requeues_and_completes(self):
+    def test_killed_shard_requeues_and_completes(self, hold):
         # Kill one worker mid-stream: its in-flight requests must be
         # re-queued to a live shard, every row still comes back in
         # submission order, and the restart is surfaced in telemetry.
         specs = [spec_of(tag=f"t{i % 4}") for i in range(32)]
         with ShardedSamplerService(
-            shards=2, rng=11, flush_deadline=0.5, batch_size=64
+            shards=2, rng=11, batch_size=64, row_fn=hold.row_fn
         ) as tier:
             futures = [tier.submit(s) for s in specs]
-            # With a long deadline and a big batch target, requests are
-            # parked in the workers' packers — kill one now.
+            # Held workers resolve nothing, so every request routed to
+            # shard 0 is still in flight — kill it now.
             victim = tier._shards[0].process
             os.kill(victim.pid, signal.SIGKILL)
             deadline = time.monotonic() + 30
             while tier.worker_restarts == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
+            hold.release()
             rows = [f.row() for f in futures]  # blocks until all complete
             telemetry = tier.telemetry()
         assert telemetry["worker_restarts"] >= 1
@@ -202,15 +199,16 @@ class TestWorkerDeathRecovery:
         assert "route" in events
         assert dump[-1]["shard"] == 0
 
-    def test_rows_match_unsharded_even_across_a_restart(self):
+    def test_rows_match_unsharded_even_across_a_restart(self, hold):
         specs = [spec_of(tag=f"t{i % 2}") for i in range(16)]
-        with SamplerService(rng=5, flush_deadline=0.01) as plain:
+        with SamplerService(rng=5) as plain:
             reference = [plain.submit(s).row() for s in specs]
         with ShardedSamplerService(
-            shards=2, rng=5, flush_deadline=0.5, batch_size=64
+            shards=2, rng=5, batch_size=64, row_fn=hold.row_fn
         ) as tier:
             futures = [tier.submit(s) for s in specs]
             os.kill(tier._shards[1].process.pid, signal.SIGKILL)
+            hold.release()
             rows = [f.row() for f in futures]
         assert rows == reference
 
@@ -219,9 +217,7 @@ class TestTelemetry:
     def test_fallback_counter_on_tiny_arena(self):
         # An arena too small for any result batch forces every batch onto
         # the pickle fallback — degraded, counted, but still correct.
-        with ShardedSamplerService(
-            shards=1, rng=3, flush_deadline=0.01, arena_bytes=256
-        ) as tier:
+        with ShardedSamplerService(shards=1, rng=3, arena_bytes=256) as tier:
             futures = [tier.submit(spec_of(universe=64, total=10)) for _ in range(4)]
             results = [f.result(timeout=30) for f in futures]
             telemetry = tier.telemetry()

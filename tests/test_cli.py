@@ -108,7 +108,7 @@ class TestServeCli:
     def test_serve_smoke(self, capsys):
         code = main(["serve", "--max-requests", "8", "--universe", "64",
                      "--total", "24", "--machines", "2", "--batch-size", "4",
-                     "--flush-deadline", "0.01", "--seed", "3"])
+                     "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "8/8" in out  # every request exact
@@ -118,10 +118,17 @@ class TestServeCli:
     def test_serve_parallel_model(self, capsys):
         code = main(["serve", "--model", "parallel", "--max-requests", "4",
                      "--universe", "64", "--total", "24", "--machines", "2",
-                     "--batch-size", "4", "--flush-deadline", "0.01"])
+                     "--batch-size", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "parallel rounds" in out
+
+    def test_serve_has_no_flush_deadline_flag(self, capsys):
+        """Dispatch is work-conserving; the deadline option is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--max-requests", "4", "--flush-deadline", "0.01"])
+        assert excinfo.value.code == 2
+        assert "--flush-deadline" in capsys.readouterr().err
 
     def test_serve_rejects_nonpositive_count(self, capsys):
         code = main(["serve", "--max-requests", "0"])
@@ -136,7 +143,7 @@ class TestServeCli:
     def test_serve_sharded_tier(self, capsys):
         code = main(["serve", "--max-requests", "8", "--universe", "64",
                      "--total", "24", "--machines", "2", "--batch-size", "4",
-                     "--flush-deadline", "0.01", "--seed", "3", "--shards", "2"])
+                     "--seed", "3", "--shards", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "8/8" in out
@@ -178,7 +185,7 @@ class TestServeCli:
         path = tmp_path / "serve.jsonl"
         code = main(["serve", "--max-requests", "6", "--universe", "64",
                      "--total", "24", "--machines", "2", "--batch-size", "4",
-                     "--flush-deadline", "0.01", "--seed", "3", "--shards", "2",
+                     "--seed", "3", "--shards", "2",
                      "--trace", str(path)])
         capsys.readouterr()
         assert code == 0
@@ -250,7 +257,7 @@ class TestServeCli:
     def test_serve_scenario_trace(self, capsys):
         code = main(["serve", "--scenario", "chaos-kill-revive",
                      "--max-requests", "8", "--batch-size", "4",
-                     "--flush-deadline", "0.01", "--seed", "2"])
+                     "--seed", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "8/8" in out
@@ -258,7 +265,7 @@ class TestServeCli:
     def test_serve_workload_flag(self, capsys):
         code = main(["serve", "--workload", "uniform", "--max-requests", "4",
                      "--universe", "32", "--total", "16", "--machines", "2",
-                     "--batch-size", "4", "--flush-deadline", "0.01"])
+                     "--batch-size", "4"])
         assert code == 0
         assert "4/4" in capsys.readouterr().out
 

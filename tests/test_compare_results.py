@@ -55,6 +55,25 @@ class TestComparePayloads:
         key = compare_results._scenario_key(row)
         assert "poisson" in key and "offered_load=200/s" in key and "shards=4" in key
 
+    def test_legacy_flush_deadline_baselines_still_compare(self):
+        # Baselines archived while serving had a flush deadline carry it
+        # as a column; the key ignores it, so their rows meet today's.
+        base = {"trajectory": [
+            {"scenario": "served-full-load", "offered_load": "max",
+             "flush_deadline": 0.05, "batch_fill_ratio": 1.0,
+             "instances_per_sec": 1000.0},
+        ]}
+        cur = {"trajectory": [
+            {"scenario": "served-full-load", "offered_load": "max",
+             "batch_fill_ratio": 1.0, "instances_per_sec": 980.0},
+        ]}
+        key = "served-full-load|offered_load=max"
+        assert compare_results.extract_rates(base) == {key: 1000.0}
+        assert compare_results.compare_payloads(base, cur) == []
+        slower = {"trajectory": [dict(cur["trajectory"][0], instances_per_sec=500.0)]}
+        [warning] = compare_results.compare_payloads(base, slower)
+        assert "regression" in warning
+
     def test_rows_without_rate_are_ignored(self):
         base = {"trajectory": [{"scenario": "ref", "instances_per_sec": 0.0},
                                {"scenario": "no-rate"}]}
