@@ -5,8 +5,8 @@ through every execution strategy the planner can choose — per-instance,
 stacked batch, process fan-out, served stream — with the same audit
 surface (plan, ledger totals, exactness) and fidelity agreement at the
 serving subsystem's 1e-12 bar.  The planner's ``auto`` rules are
-asserted alongside: the stacked engine for homogeneous groups of 64+,
-the ``classes`` backend at every ``N``.
+asserted alongside: the stacked engine at every group size (one request
+included), the ``classes`` backend at every ``N``.
 
 This is the ``make bench-api`` smoke CI runs: a tiny grid, all four
 strategies, wall-clock per strategy recorded in
@@ -21,12 +21,7 @@ import pytest
 
 from repro import sample_many
 from repro.analysis import InstanceSpec
-from repro.api import (
-    STACK_THRESHOLD,
-    Planner,
-    SamplingRequest,
-    serve,
-)
+from repro.api import Planner, SamplingRequest, serve
 from repro.database import WorkloadSpec
 
 #: Two overlap regimes → two schedule shapes, so stacking and the
@@ -70,11 +65,10 @@ def _run(strategy: str):
 def test_e25_api_pipeline_smoke(report):
     planner = Planner()
     # The planner's auto rules, asserted before any execution.
-    auto_plan = planner.plan_many(
-        [SamplingRequest(spec=GRID[0])] * STACK_THRESHOLD
-    )
-    assert set(auto_plan.strategies()) == {"stacked"}
-    assert set(auto_plan.backends()) == {"classes"}
+    for size in (1, 2, 64):
+        auto_plan = planner.plan_many([SamplingRequest(spec=GRID[0])] * size)
+        assert set(auto_plan.strategies()) == {"stacked"}, size
+        assert set(auto_plan.backends()) == {"classes"}, size
     assert planner.auto_backend("sequential") == "classes"
     assert planner.auto_backend("parallel") == "classes"
 
@@ -121,7 +115,6 @@ def test_e25_api_pipeline_smoke(report):
         rows,
         payload={
             "trajectory": trajectory,
-            "stack_threshold": STACK_THRESHOLD,
             "grid": [spec.label() for spec in GRID],
         },
     )

@@ -18,7 +18,7 @@ Quickstart
 >>> result.exact                      # the zero-error guarantee
 True
 >>> result.strategy, result.sequential_queries == result.ledger.sequential_queries
-('instance', True)
+('stacked', True)
 
 The front door (:mod:`repro.api`) routes every workload — single runs,
 batched sweeps, process fan-out, served streams — through one

@@ -12,9 +12,10 @@ Commands
     (``repro.sample``); ``--backend`` defaults to the planner's ``auto``
     choice.  With ``--batch B`` the same front door
     (``repro.sample_many``) runs ``B`` independent instances of the
-    recipe through the stacked ``classes`` engine, optionally fanned
+    recipe under the planner's one rule — stacked wherever the backend
+    stacks, per instance on ``oracles``/``dense`` — optionally fanned
     across ``--jobs`` worker processes, and reports aggregate
-    fidelity/throughput.
+    fidelity/throughput and the strategy that ran.
 ``serve``
     Run the long-lived batching sampler service (``repro.serve`` — the
     front door's stream strategy) on a synthetic Poisson arrival trace
@@ -140,9 +141,9 @@ def _cmd_sample_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     spec = _instance_spec(args)
-    # batchable=True asks the planner for the stacked engine at any
-    # batch size (and for process fan-out when --jobs > 1); the
-    # aggregate table reads audit columns only, so skip the O(N)
+    # The planner routes the batch like any other (stacked when the
+    # backend stacks, fan-out when --jobs > 1, per instance otherwise);
+    # the aggregate table reads audit columns only, so skip the O(N)
     # per-instance output-distribution gather (the engine's serving
     # fast path).
     start = time.perf_counter()
@@ -153,7 +154,6 @@ def _cmd_sample_batch(args: argparse.Namespace) -> int:
             backend=args.backend or "auto",
             capacity=args.capacity,
             include_probabilities=False,
-            batchable=True,
         )
         results = sample_many(
             [request] * args.batch, jobs=args.jobs, rng=args.seed
@@ -515,8 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         metavar="B",
-        help="run B independent instances through the batched stacked-classes "
-        "engine and report aggregate fidelity + throughput",
+        help="run B independent instances of the recipe (stacked wherever "
+        "the backend stacks) and report aggregate fidelity + throughput",
     )
     sample.add_argument(
         "--jobs",

@@ -9,15 +9,17 @@ package routes every workload through a single pipeline instead:
     *What* to sample: a database, an
     :class:`~repro.analysis.sweep.InstanceSpec` recipe, or a live
     :class:`~repro.database.dynamic.UpdateStream` snapshot — plus model,
-    backend (``"auto"`` by default), capacity policy, seed and batching
-    hints.
+    backend (``"auto"`` by default), capacity policy, seed and fault
+    mask.
 :class:`Planner` → :class:`ExecutionPlan`
     *How* it executes: ``auto`` resolves to the ``O(ν)``-memory
     ``classes`` substrate at every ``N`` (the dense layouts are
-    explicit-only references), and strategy routing — per-instance for heterogeneous requests, the
-    stacked count-class batch engine for homogeneous groups of 64+,
-    process fan-out for build-dominated loads (``jobs > 1``), the
-    serving dispatcher for streams.
+    explicit-only references), and one strategy rule per request —
+    the stacked count-class batch engine whenever the backend stacks,
+    at any batch size (a lone request included), process fan-out for
+    build-dominated spec loads (``jobs > 1``), per-instance execution
+    for the per-instance-only backends or when forced, the serving
+    dispatcher when asked for.
 :func:`sample` / :func:`sample_many` / :func:`serve`
     The three calls (also exposed as ``repro.sample`` /
     ``repro.sample_many`` / ``repro.serve``), returning a unified
@@ -32,12 +34,11 @@ Quickstart
 >>> db = round_robin(uniform_dataset(16, 32, rng=0), n_machines=2)
 >>> result = repro.sample(repro.SamplingRequest(database=db))
 >>> result.exact, result.strategy
-(True, 'instance')
+(True, 'stacked')
 """
 
 from .execute import DEFAULT_PLANNER, execute_plan, sample, sample_many, serve
 from .planner import (
-    STACK_THRESHOLD,
     STRATEGIES,
     ExecutionGroup,
     ExecutionPlan,
@@ -56,7 +57,6 @@ __all__ = [
     "ResolvedRequest",
     "Result",
     "ResultSet",
-    "STACK_THRESHOLD",
     "STRATEGIES",
     "SamplingRequest",
     "execute_plan",

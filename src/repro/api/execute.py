@@ -17,15 +17,16 @@ Strategy executors
 ------------------
 ``instance``:
     One sampler run per request (``SequentialSampler``/
-    ``ParallelSampler`` on the resolved backend; stream snapshots run as
-    a stacked batch of one).
+    ``ParallelSampler`` on the resolved backend): the per-instance-only
+    backends, and the reference a forced ``strategy="instance"`` runs.
 ``stacked``:
     The stacked batch engine
     (:func:`~repro.batch.engine.execute_class_batch`) on the group's
     resolved substrate — the CSR-packed count-class plane under
     ``auto``, or an explicitly named one — chunked by ``batch_size`` in
-    request order; ``classes`` rows are bit-identical to per-instance
-    ``classes`` rows whatever the chunking.
+    request order, at any group size (a lone request is a batch of
+    one); rows are bit-identical to the per-instance rows on the same
+    backend whatever the chunking.
 ``fanout``:
     The same stacked chunks shipped to a
     :class:`~concurrent.futures.ProcessPoolExecutor` for build-dominated
@@ -49,7 +50,6 @@ from ..batch.engine import ClassInstance, execute_class_batch
 from ..core.parallel import ParallelSampler
 from ..core.result import SamplingResult
 from ..core.sequential import SequentialSampler
-from ..database.distributed import DistributedDatabase
 from ..errors import PlanningError
 from ..obs.trace import Span, SpanContext, Tracer, get_tracer, span, stitch
 from ..utils.pool import process_map_iter
@@ -58,7 +58,7 @@ from .planner import ExecutionGroup, ExecutionPlan, Planner, ResolvedRequest
 from .request import SamplingRequest
 from .results import Result, ResultSet, unified_row
 
-#: The planner the module-level entry points use when none is supplied.
+#: The planner the front-door calls route through (it is stateless).
 DEFAULT_PLANNER = Planner()
 
 
@@ -69,16 +69,16 @@ def sample(
     request: SamplingRequest,
     rng: object = None,
     strategy: str | None = None,
-    planner: Planner | None = None,
 ) -> Result:
     """Run one request through the planner; returns its :class:`Result`.
 
-    A single request routes to per-instance execution unless ``strategy``
-    forces another path (or ``batchable=True`` asks for the stacked
-    engine).  ``rng`` seeds spec materialization when the request carries
-    no explicit ``seed``.
+    The request routes by the same per-request rule as a bulk call: the
+    stacked engine (a batch of one) whenever its backend has a stacked
+    implementation, per instance otherwise, unless ``strategy`` forces
+    a path.  ``rng`` seeds spec materialization when the request
+    carries no explicit ``seed``.
     """
-    return sample_many([request], rng=rng, strategy=strategy, planner=planner)[0]
+    return sample_many([request], rng=rng, strategy=strategy)[0]
 
 
 def sample_many(
@@ -89,7 +89,6 @@ def sample_many(
     strategy: str | None = None,
     workers: int = 2,
     shards: int | None = None,
-    planner: Planner | None = None,
 ) -> ResultSet:
     """Plan and execute a request list; results come back in request order.
 
@@ -97,8 +96,10 @@ def sample_many(
     ----------
     requests:
         The workloads.  Models, sources, backends and capacity policies
-        may mix freely — the planner groups compatible requests and
-        routes the rest per-instance.
+        may mix freely — each request routes on its own (stacked when
+        its backend stacks, per instance otherwise) and the planner
+        groups the stacked ones by homogeneity key, whatever the group
+        size.
     rng:
         Seed source for deterministic per-spec child seeds, drawn in
         request order (``run_batched``'s determinism contract).
@@ -121,12 +122,8 @@ def sample_many(
         multi-process tier with this many workers (``None`` serves
         in-process; requests carrying their own ``shards=`` are honored
         when this is unset).
-    planner:
-        A configured :class:`Planner` (thresholds); defaults to
-        :data:`DEFAULT_PLANNER`.
     """
-    planner = planner or DEFAULT_PLANNER
-    plan = planner.plan_many(
+    plan = DEFAULT_PLANNER.plan_many(
         requests,
         strategy=strategy,
         batch_size=batch_size,
@@ -143,7 +140,6 @@ def serve(
     workers: int = 2,
     shards: int | None = None,
     rng: object = None,
-    planner: Planner | None = None,
 ) -> ResultSet:
     """Stream requests through the serving dispatcher; block until drained.
 
@@ -154,8 +150,9 @@ def serve(
     worker is free) exactly as :class:`~repro.serve.SamplerService`
     does, because it *is* that service underneath.  All requests must
     share one model, capacity policy, ``include_probabilities`` setting,
-    backend and ``shards`` knob (the service is homogeneous in those);
-    spec and stream sources may interleave.
+    resolved backend (``"auto"`` and ``"classes"`` are one) and
+    ``shards`` knob (the service is homogeneous in those); spec and
+    stream sources may interleave.
 
     ``shards`` (or the requests' own ``shards=``) routes the stream
     through the sharded multi-process tier
@@ -167,25 +164,24 @@ def serve(
     Returns a :class:`ResultSet` in submission order whose ``telemetry``
     carries the service's counters snapshot.
     """
-    planner = planner or DEFAULT_PLANNER
     gen = as_generator(rng)
     tracer = get_tracer()
     roots: dict[int, Span] = {}
     accepted: list[tuple[ResolvedRequest, int | None]] = []
 
     def resolved() -> Iterator[tuple[ResolvedRequest, int | None, SpanContext | None]]:
+        first: dict[str, object] | None = None
         for request in requests:
-            res = planner.resolve_for_serving(request)
-            if accepted:
-                first = accepted[0][0].request
-                for attr in ("model", "capacity", "include_probabilities",
-                             "backend", "shards"):
-                    if getattr(request, attr) != getattr(first, attr):
-                        raise PlanningError(
-                            f"served streams are homogeneous in {attr}: got "
-                            f"{getattr(request, attr)!r} after "
-                            f"{getattr(first, attr)!r}"
-                        )
+            res = DEFAULT_PLANNER.resolve_for_serving(request)
+            fields = _tier_fields(res)
+            if first is None:
+                first = fields
+            for attr, value in fields.items():
+                if value != first[attr]:
+                    raise PlanningError(
+                        f"served streams are homogeneous in {attr}: got "
+                        f"{value!r} after {first[attr]!r}"
+                    )
             seed = None
             if request.source == "spec":
                 seed = request.seed if request.seed is not None else spawn_seed(gen)
@@ -304,24 +300,21 @@ def _chunk_trace_ids(roots: dict[int, Span], chunk: Sequence[int]) -> list[str] 
     return [roots[i].trace_id for i in chunk if i in roots]
 
 
-def _materialize(
-    res: ResolvedRequest, seed: int | None
-) -> tuple[DistributedDatabase | None, ClassInstance]:
-    """Build one request's count-class instance (and database, if any)."""
+def _materialize(res: ResolvedRequest, seed: int | None) -> ClassInstance:
+    """Build one request's count-class instance."""
     request = res.request
     if request.source == "stream":
         stream = request.stream
         assert stream is not None
         db = stream.database
-        return None, ClassInstance.from_class_state(
+        return ClassInstance.from_class_state(
             stream.class_state(), db.n_machines, capacities=db.capacities
         )
-    db = request.database if request.database is not None else None
+    db = request.database
     if db is None:
         assert request.spec is not None
         db = request.spec.build(rng=seed)
-    db = request.masked(db)
-    return db, ClassInstance.from_db(db)
+    return ClassInstance.from_db(request.masked(db))
 
 
 def _class_result(
@@ -329,7 +322,6 @@ def _class_result(
     seed: int | None,
     inst: ClassInstance,
     sampling: SamplingResult,
-    strategy: str,
     wall: float,
 ) -> Result:
     row = unified_row(
@@ -339,12 +331,12 @@ def _class_result(
         inst.total,
         inst.nu,
         sampling,
-        strategy,
+        "stacked",
         wall,
     )
     return Result(
         request=res.request,
-        strategy=strategy,
+        strategy="stacked",
         backend=sampling.backend,
         seed=seed,
         wall_time=wall,
@@ -368,20 +360,6 @@ def _execute_instance(
         request = res.request
         root = roots.get(index)
         start = time.perf_counter()
-        if request.source == "stream":
-            with span("build", parent=root, label=res.label):
-                _, inst = _materialize(res, None)
-            with span("execute", parent=root, backend=res.backend, batch=1):
-                sampling = execute_class_batch(
-                    [inst],
-                    model=request.model,
-                    include_probabilities=request.include_probabilities,
-                    skip_zero_capacity=res.skip_zero_capacity,
-                    backend=res.backend,
-                )[0]
-            wall = time.perf_counter() - start
-            yield index, _class_result(res, None, inst, sampling, "instance", wall)
-            continue
         with span("build", parent=root, label=res.label):
             db = request.database
             if db is None:
@@ -443,16 +421,16 @@ def _execute_stacked(
             trace_ids=_chunk_trace_ids(roots, chunk),
         ):
             samplings = execute_class_batch(
-                [inst for _, (_, inst) in built],
+                [inst for _, inst in built],
                 model=first.model,
                 include_probabilities=first.include_probabilities,
                 skip_zero_capacity=plan.resolved[chunk[0]].skip_zero_capacity,
                 backend=plan.resolved[chunk[0]].backend,
             )
         wall = time.perf_counter() - start
-        for (index, (_, inst)), sampling in zip(built, samplings):
+        for (index, inst), sampling in zip(built, samplings):
             yield index, _class_result(
-                plan.resolved[index], seeds[index], inst, sampling, "stacked", wall
+                plan.resolved[index], seeds[index], inst, sampling, wall
             )
 
 
@@ -595,6 +573,18 @@ def _execute_fanout(
 
 
 # -- served stream ----------------------------------------------------------------
+
+
+def _tier_fields(res: ResolvedRequest) -> dict[str, object]:
+    """What one serving tier is homogeneous in, with the backend resolved."""
+    request = res.request
+    return {
+        "model": request.model,
+        "capacity": request.capacity,
+        "include_probabilities": request.include_probabilities,
+        "backend": res.backend,
+        "shards": request.shards,
+    }
 
 
 def _serve_on_one_tier(

@@ -15,11 +15,17 @@ duplicated across the four legacy front doors:
   (:mod:`repro.batch.backends`, batched strategies); the dense
   ``subspace``/``synced``/``dense``/``oracles`` backends are reachable
   only by name, and stream snapshots always run ``classes``;
-* **strategy selection** — per-instance execution for heterogeneous or
-  unstackable-backend requests, the stacked batch engine for
-  homogeneous groups of at least :data:`STACK_THRESHOLD` requests (or
-  any size with ``batchable=True``), process fan-out for build-dominated
-  spec loads when ``jobs > 1``, and the serving dispatcher for streams;
+* **strategy selection** — one rule per request, independent of its
+  siblings: a request whose resolved backend has a stacked
+  implementation (``auto``/``classes`` on both models, ``subspace``
+  sequential, ``synced`` parallel) runs on the stacked batch engine at
+  any group size, a lone ``repro.sample`` included — its rows are ``==``
+  the per-instance rows, and the stacked engine is the faster of the
+  two at every batch size; spec requests fan out across processes
+  instead when ``jobs > 1``.  Only the per-instance-only backends
+  (``oracles``, ``dense``) and an explicit ``strategy="instance"`` run
+  the per-instance samplers, and the serving dispatcher runs when
+  asked for (``strategy="served"`` or :func:`repro.serve`);
 * **capacity policy** — ``"skip_empty"`` maps to the capacity-aware
   flagged-round restriction on every strategy;
 * **fault masks** — a request's machine-loss mask rides along on the
@@ -28,10 +34,6 @@ duplicated across the four legacy front doors:
   through the same four strategies as healthy traffic (masked requests
   composing with ``skip_empty`` — dead machines are skipped, never
   queried).
-
-The stacking threshold lives in :mod:`repro.config`
-(:attr:`~repro.config.NumericsConfig.stack_threshold`) so tests and
-benchmarks consume the same number the planner does.
 
 The legacy drivers (``run_sweep``, ``run_batched``,
 :class:`~repro.serve.SamplerService`) consume the same planner helpers
@@ -46,21 +48,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..batch.backends import CLASS_SUBSTRATE, stacked_backend_names
-from ..config import CONFIG
 from ..core.backends import MODELS, backend_names, resolve_backend
 from ..errors import PlanningError, ValidationError
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from .request import AUTO_BACKEND, CAPACITY_POLICIES, SamplingRequest
-
-#: Minimum homogeneous group size at which the planner routes to the
-#: stacked batch engine (below it, per-batch Python overhead beats the
-#: tensor-stacking win — see bench_e23's throughput plateau).  The
-#: number is defined in :attr:`repro.config.NumericsConfig.stack_threshold`;
-#: this constant is an import-time snapshot of its *default*, kept for
-#: the historical public name — runtime overrides go through ``CONFIG``
-#: (every ``Planner()`` built afterwards picks them up), not this value.
-STACK_THRESHOLD = CONFIG.stack_threshold
 
 #: The four execution strategies.
 STRATEGIES = ("instance", "stacked", "fanout", "served")
@@ -153,21 +145,10 @@ class ExecutionPlan:
 class Planner:
     """Routes :class:`SamplingRequest` objects onto execution strategies.
 
-    Parameters
-    ----------
-    stack_threshold:
-        Homogeneous group size at which stacking wins
-        (default :data:`STACK_THRESHOLD`).
+    Stateless: every rule is a pure function of the request (and the
+    call's forced strategy and ``jobs``), so one instance serves every
+    caller (:data:`repro.api.DEFAULT_PLANNER`).
     """
-
-    def __init__(self, stack_threshold: int | None = None) -> None:
-        # None pulls the live config field, so a CONFIG override (tests,
-        # tuned deployments) reaches every planner built afterwards.
-        if stack_threshold is None:
-            stack_threshold = CONFIG.stack_threshold
-        if stack_threshold < 1:
-            raise PlanningError(f"stack_threshold must be >= 1, got {stack_threshold}")
-        self.stack_threshold = stack_threshold
 
     # -- backend selection ---------------------------------------------------------
 
@@ -203,7 +184,7 @@ class Planner:
         workers: int = 2,
         shards: int | None = None,
     ) -> ExecutionPlan:
-        """Route one request (``repro.sample``): per-instance by default."""
+        """Route one request (``repro.sample``) by the same per-request rule."""
         return self.plan_many(
             [request],
             strategy=strategy,
@@ -307,42 +288,25 @@ class Planner:
         forced: str | None,
         jobs: int | None,
     ) -> list[str]:
-        """Pick a strategy per request (forced, or by the routing rules)."""
+        """Pick a strategy per request (forced, or by the routing rule)."""
         if forced is not None:
             return [forced] * len(requests)
-        strategies = ["instance"] * len(requests)
         fanout = self.fanout_jobs(jobs) is not None
-        buckets: dict[tuple[object, ...], list[int]] = {}
-        for index, request in enumerate(requests):
-            if not self._stackable(request):
-                continue
-            if fanout and request.source == "spec":
-                strategies[index] = "fanout"
-                continue
-            key = (request.model, request.capacity, request.include_probabilities)
-            buckets.setdefault(key, []).append(index)
-        for indices in buckets.values():
-            if len(indices) >= self.stack_threshold:
-                for i in indices:
-                    strategies[i] = "stacked"
-            else:
-                # Below the threshold the hint is per-request: only the
-                # requests that asked for the stacked engine get it;
-                # hint-less siblings keep their own auto routing.
-                for i in indices:
-                    if requests[i].batchable:
-                        strategies[i] = "stacked"
-        return strategies
+        return [
+            "instance" if not self._stackable(request)
+            else "fanout" if fanout and request.source == "spec"
+            else "stacked"
+            for request in requests
+        ]
 
     def _stackable(self, request: SamplingRequest) -> bool:
         """Whether a stacked backend may execute the request.
 
         ``auto`` and any registered *stacked* backend name qualify —
-        ``classes`` always, ``subspace`` for sequential-model requests
-        (stream snapshots stay on ``classes``, their substrate).
+        ``classes`` always, ``subspace`` for sequential-model requests,
+        ``synced`` for parallel ones (stream snapshots stay on
+        ``classes``, their substrate).
         """
-        if request.batchable is False:
-            return False
         if request.backend == AUTO_BACKEND:
             return True
         if request.source == "stream":
@@ -370,12 +334,19 @@ class Planner:
             raise PlanningError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
         if request.source == "stream":
             # Stream snapshots are count-class views; only the classes
-            # substrate can execute them, at any strategy.
+            # substrate can execute them, and only stacked (a class
+            # state, not a database the per-instance samplers take).
             if request.backend not in (AUTO_BACKEND, CLASS_SUBSTRATE):
                 raise PlanningError(
                     f"backend {request.backend!r} cannot execute a stream "
                     f"snapshot; stream requests run on the {CLASS_SUBSTRATE!r} "
                     "substrate"
+                )
+            if strategy == "instance":
+                raise PlanningError(
+                    "a stream snapshot is a count-class state, not a database; "
+                    "the instance strategy cannot execute it — use the stacked "
+                    "or served strategy"
                 )
             backend = CLASS_SUBSTRATE
         elif strategy in ("stacked", "fanout", "served"):
@@ -384,13 +355,6 @@ class Planner:
             backend = self.auto_backend(request.model)
         else:
             backend = self.validated_backend(request.backend, request.model)
-            if request.batchable and backend not in stacked_backend_names(request.model):
-                # A conflicting hint is a caller bug, not a routing choice.
-                raise PlanningError(
-                    f"backend {request.backend!r} is not batchable; the "
-                    f"batchable=True hint requires a stacked substrate "
-                    f"({stacked_backend_names(request.model)}) or backend='auto'"
-                )
         if strategy == "fanout" and request.source != "spec":
             raise PlanningError(
                 "process fan-out executes spec-built requests (databases and "

@@ -8,7 +8,8 @@ query model, on which backend, with which capacity policy.  It says
 nothing about *how* the run executes: that is the
 :class:`~repro.api.planner.Planner`'s job, which routes requests to one
 of the four execution strategies (per-instance, stacked batch, process
-fan-out, served stream).
+fan-out, served stream) by one rule — the stacked engine whenever the
+resolved backend has a stacked implementation, at any batch size.
 
 Every validation failure raises :class:`~repro.errors.RequestError`, a
 :class:`~repro.errors.ReproError`, so callers of the front door catch
@@ -74,11 +75,6 @@ class SamplingRequest:
     label:
         Row label override; defaults to ``spec.label()``, a compact
         database descriptor, or ``"live"`` for streams.
-    batchable:
-        Batching hint for the planner.  ``None`` (default) lets the
-        group-size threshold decide; ``True`` prefers the stacked engine
-        even for small groups; ``False`` pins the request to per-instance
-        execution.
     scenario:
         A registered scenario name (or :class:`~repro.scenarios.Scenario`
         instance) — a fourth way to say *what* to sample.  Resolving it
@@ -121,7 +117,6 @@ class SamplingRequest:
     seed: int | None = None
     include_probabilities: bool = True
     label: str | None = None
-    batchable: bool | None = None
     shards: int | None = None
     scenario: object | None = None
     fault_mask: tuple[int, ...] | None = None

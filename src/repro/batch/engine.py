@@ -80,7 +80,7 @@ from .backends import (
 
 @dataclass(frozen=True)
 class ClassInstance:
-    """One batchable sampling instance in count-class coordinates.
+    """One stackable sampling instance in count-class coordinates.
 
     Everything the stacked engine needs, decoupled from
     :class:`~repro.database.distributed.DistributedDatabase`: the

@@ -59,10 +59,6 @@ class NumericsConfig:
         (:class:`~repro.qsim.classvector.ClassVector`), whose state is
         ``O(ν)`` regardless of ``N``, so the dense layouts run only when
         named explicitly.
-    stack_threshold:
-        Minimum homogeneous group size at which the planner routes to a
-        stacked batch engine (below it, per-batch Python overhead beats
-        the tensor-stacking win — see bench_e23's throughput plateau).
     shard_arena_bytes:
         Per-worker shared-memory arena capacity of the sharded serving
         tier (:class:`repro.serve.shard.ShardedSamplerService`).  Sized
@@ -74,7 +70,6 @@ class NumericsConfig:
     atol: float = 1e-10
     fidelity_atol: float = 1e-9
     max_dense_dimension: int = 2**24
-    stack_threshold: int = 64
     shard_arena_bytes: int = 1 << 24
 
     @property

@@ -41,7 +41,7 @@ class DistributedDatabase:
     >>> db = DistributedDatabase([Machine(s) for s in shards])
     >>> db.total_count, db.universe, db.n_machines
     (5, 4, 2)
-    >>> list(db.joint_counts)
+    >>> db.joint_counts.tolist()
     [2, 2, 0, 1]
     """
 

@@ -224,7 +224,8 @@ class ScenarioMatrix:
         _attach_trace_summary(row, served)
         if self.verify:
             # The reference replays the identical seeded build + update
-            # schedule and samples each snapshot per-instance.
+            # schedule and samples each snapshot on its own, one
+            # repro.sample call (a stacked batch of one) per request.
             db = scenario.spec(0).build(rng=seed)
             stream = random_update_stream(
                 db, total_updates, churn.insert_probability, rng=seed

@@ -583,10 +583,11 @@ class SamplerService(_ServingTier):
         Target instances per stacked tensor (the packer's full-flush
         trigger).
     workers:
-        Batch-execution threads, and the dispatch threshold: partial
-        groups wait in the packer only while ``workers`` batches are in
-        flight.  NumPy kernels dominate batch runtime and release the
-        GIL, so a couple of workers overlap execution with packing;
+        Batch-execution threads (at least 1; :class:`ValidationError`
+        otherwise), and the dispatch threshold: partial groups wait in
+        the packer only while ``workers`` batches are in flight.  NumPy
+        kernels dominate batch runtime and release the GIL, so a
+        couple of workers overlap execution with packing;
         process-level fan-out is the sharded tier's job
         (:class:`~repro.serve.shard.ShardedSamplerService`).
     rng:
@@ -638,7 +639,7 @@ class SamplerService(_ServingTier):
         self._packer: ShapePacker[ServedRequest] = ShapePacker(batch_size)
         self._input: "queue.SimpleQueue[object]" = queue.SimpleQueue()
         self._abandon = False
-        self._workers = max(1, workers)
+        self._workers = require_pos_int(workers, "workers")
         self._in_flight = 0  # dispatcher-owned; executors report via _DONE
         self._executor = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-serve"

@@ -24,7 +24,7 @@ import pytest
 
 import repro
 from repro.analysis import InstanceSpec
-from repro.api import STACK_THRESHOLD, Planner, SamplingRequest
+from repro.api import Planner, SamplingRequest
 from repro.batch import ClassInstance, execute_class_batch, resolve_stacked_name
 from repro.database import WorkloadSpec
 from repro.errors import PlanningError, ValidationError
@@ -70,7 +70,7 @@ class TestEveryResolutionSite:
         for strategy, jobs in (("stacked", None), ("fanout", 2), ("served", None)):
             plan = planner.plan(request, strategy=strategy, jobs=jobs)
             assert plan.backends() == ("classes",), strategy
-        group = planner.plan_many([request] * STACK_THRESHOLD)
+        group = planner.plan_many([request] * 2)
         assert set(group.strategies()) == {"stacked"}
         assert set(group.backends()) == {"classes"}
 
@@ -163,8 +163,7 @@ def parallel_requests(count: int) -> list[SamplingRequest]:
         workload=WorkloadSpec.of("zipf", universe=32768, total=1000), n_machines=4
     )
     return [
-        SamplingRequest(spec=spec, model="parallel", batchable=True)
-        for _ in range(count)
+        SamplingRequest(spec=spec, model="parallel") for _ in range(count)
     ]
 
 

@@ -16,6 +16,8 @@ from repro.api import SamplingRequest, serve
 from repro.batch import run_batched
 from repro.core import ParallelSampler, SequentialSampler
 from repro.database import WorkloadSpec
+from repro.database.dynamic import UpdateStream
+from repro.errors import PlanningError
 from repro.serve import SamplerService
 from repro.utils.rng import as_generator, spawn_seed
 
@@ -53,7 +55,7 @@ class TestInstanceStrategy:
         )
         sampler_cls = SequentialSampler if model == "sequential" else ParallelSampler
         legacy = sampler_cls(small_db, backend="classes").run()
-        assert result.strategy == "instance"
+        assert result.strategy == "stacked"
         assert result.fidelity == legacy.fidelity
         assert result.sampling.ledger.summary() == legacy.ledger.summary()
         assert (
@@ -86,9 +88,7 @@ class TestStackedStrategy:
     @pytest.mark.parametrize("model", ["sequential", "parallel"])
     def test_rows_match_run_batched(self, model):
         specs = mixed_specs()
-        requests = [
-            SamplingRequest(spec=spec, model=model, batchable=True) for spec in specs
-        ]
+        requests = [SamplingRequest(spec=spec, model=model) for spec in specs]
         results = sample_many(requests, rng=7, batch_size=4)
         assert set(results.strategies()) == {"stacked"}
         # backend="auto" applies the same stacked-substrate rule the
@@ -99,10 +99,7 @@ class TestStackedStrategy:
 
     def test_explicit_classes_backend_matches_run_batched_default(self):
         specs = mixed_specs()
-        requests = [
-            SamplingRequest(spec=spec, backend="classes", batchable=True)
-            for spec in specs
-        ]
+        requests = [SamplingRequest(spec=spec, backend="classes") for spec in specs]
         results = sample_many(requests, rng=7, batch_size=4)
         assert set(r.backend for r in results) == {"classes"}
         legacy = run_batched(specs, rng=7, batch_size=4)
@@ -113,10 +110,10 @@ class TestStackedStrategy:
         gen = as_generator(5)
         seeds = [spawn_seed(gen) for _ in range(3)]
         explicit = sample_many(
-            [SamplingRequest(spec=spec, seed=seed, batchable=True) for seed in seeds]
+            [SamplingRequest(spec=spec, seed=seed) for seed in seeds]
         )
         drawn = sample_many(
-            [SamplingRequest(spec=spec, batchable=True)] * 3, rng=5
+            [SamplingRequest(spec=spec)] * 3, rng=5
         )
         for mine, ref in zip(explicit.rows(), drawn.rows()):
             assert {k: v for k, v in mine.items() if k != "wall_time_s"} == {
@@ -129,7 +126,7 @@ class TestFanoutStrategy:
 
     def test_rows_match_run_batched_jobs(self):
         specs = mixed_specs()
-        requests = [SamplingRequest(spec=spec, batchable=True) for spec in specs]
+        requests = [SamplingRequest(spec=spec) for spec in specs]
         results = sample_many(requests, rng=7, batch_size=2, jobs=2)
         assert set(results.strategies()) == {"fanout"}
         legacy = run_batched(specs, rng=7, batch_size=2, jobs=2, backend="auto")
@@ -160,6 +157,36 @@ class TestServedStrategy:
     def test_empty_stream(self):
         results = serve(iter(()))
         assert len(results) == 0 and results.telemetry is None
+
+    def test_auto_and_classes_share_one_tier(self, small_db):
+        """Homogeneity is checked on the resolved backend, as
+        ``sample_many(strategy="served")`` groups: ``auto`` is
+        ``classes``, so a spec and a stream naming either serve together."""
+        requests = [
+            SamplingRequest(spec=spec_of(), include_probabilities=False),
+            SamplingRequest(
+                stream=UpdateStream(small_db, []), backend="classes",
+                include_probabilities=False,
+            ),
+        ]
+        served = serve(requests, rng=3)
+        grouped = sample_many(requests, rng=3, strategy="served")
+        assert len(grouped.plan.groups) == 1
+        assert served.column("backend") == ["classes", "classes"]
+        assert all(served.column("exact"))
+        strip = [{k: v for k, v in row.items() if k != "wall_time_s"}
+                 for row in served.rows()]
+        assert strip == [{k: v for k, v in row.items() if k != "wall_time_s"}
+                         for row in grouped.rows()]
+
+    def test_distinct_resolved_backends_still_rejected(self):
+        with pytest.raises(PlanningError, match="homogeneous in backend"):
+            serve([
+                SamplingRequest(spec=spec_of(), include_probabilities=False),
+                SamplingRequest(
+                    spec=spec_of(), backend="subspace", include_probabilities=False
+                ),
+            ])
 
     def test_sharded_serve_matches_unsharded(self):
         """``shards=`` on the front door routes to the sharded tier and
@@ -269,11 +296,11 @@ class TestResultSurface:
                        "d_applications", "sequential_queries",
                        "parallel_rounds", "strategy", "wall_time_s"):
             assert column in row
-        assert row["batched"] is False and row["strategy"] == "instance"
+        assert row["batched"] is True and row["strategy"] == "stacked"
 
     def test_result_set_to_sweep(self):
         results = sample_many(
-            [SamplingRequest(spec=spec_of(), batchable=True)] * 3, rng=0
+            [SamplingRequest(spec=spec_of())] * 3, rng=0
         )
         sweep = results.to_sweep()
         assert len(sweep) == 3

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.analysis import InstanceSpec
-from repro.api import (
-    STACK_THRESHOLD,
-    Planner,
-    SamplingRequest,
-)
+from repro.api import Planner, SamplingRequest
 from repro.database import WorkloadSpec
 from repro.database.dynamic import UpdateStream
 from repro.errors import PlanningError, ReproError
@@ -69,91 +65,61 @@ class TestAutoBackend:
 
 
 class TestAutoStrategy:
-    """The acceptance bar: stacked engine chosen for homogeneous B ≥ 64,
-    on the classes substrate."""
+    """The acceptance bar: the stacked engine at any group size, on the
+    classes substrate (the full size × source grid lives in
+    test_routing_rule.py)."""
 
-    def test_single_request_runs_per_instance(self, planner):
-        assert planner.plan(spec_request()).strategies() == ("instance",)
+    def test_single_request_runs_stacked(self, planner):
+        assert planner.plan(spec_request()).strategies() == ("stacked",)
 
     def test_homogeneous_large_n_group_stacks_classes(self, planner):
-        plan = planner.plan_many(
-            [spec_request(universe=10**5) for _ in range(STACK_THRESHOLD)]
-        )
+        plan = planner.plan_many([spec_request(universe=10**5) for _ in range(3)])
         assert set(plan.strategies()) == {"stacked"}
         assert set(plan.backends()) == {"classes"}
 
     def test_mixed_universes_share_one_stacked_group(self, planner):
         """One substrate at every N: a mixed-universe batch is one group."""
-        small = [spec_request(batchable=True) for _ in range(2)]
-        large = [spec_request(universe=10**5, batchable=True) for _ in range(2)]
+        small = [spec_request() for _ in range(2)]
+        large = [spec_request(universe=10**5) for _ in range(2)]
         plan = planner.plan_many(small + large)
         assert plan.backends() == ("classes",) * 4
         assert len(plan.groups) == 1
 
-    def test_below_threshold_runs_per_instance(self, planner):
-        plan = planner.plan_many([spec_request() for _ in range(STACK_THRESHOLD - 1)])
-        assert set(plan.strategies()) == {"instance"}
-
-    def test_batchable_hint_stacks_any_size(self, planner):
-        plan = planner.plan_many([spec_request(batchable=True)] * 2)
-        assert set(plan.strategies()) == {"stacked"}
-
-    def test_batchable_hint_is_per_request(self, planner):
-        """A sibling's hint must not reroute hint-less requests."""
-        plan = planner.plan_many([spec_request(), spec_request(batchable=True)])
-        assert plan.strategies() == ("instance", "stacked")
-        assert plan.backends() == ("classes", "classes")
-
-    def test_batchable_false_pins_to_instance(self, planner):
-        plan = planner.plan_many(
-            [spec_request(batchable=False) for _ in range(STACK_THRESHOLD)]
-        )
-        assert set(plan.strategies()) == {"instance"}
-
     def test_explicit_subspace_backend_stacks(self, planner):
         """subspace is a stacked substrate now — an explicit choice keeps
         the dense representation and still batches."""
-        plan = planner.plan_many(
-            [spec_request(backend="subspace") for _ in range(STACK_THRESHOLD)]
-        )
+        plan = planner.plan_many([spec_request(backend="subspace") for _ in range(2)])
         assert set(plan.strategies()) == {"stacked"}
         assert set(plan.backends()) == {"subspace"}
 
     def test_unstackable_backend_never_stacks(self, planner):
-        plan = planner.plan_many(
-            [spec_request(backend="oracles") for _ in range(STACK_THRESHOLD)]
-        )
+        plan = planner.plan_many([spec_request(backend="oracles") for _ in range(2)])
         assert set(plan.strategies()) == {"instance"}
 
     def test_explicit_synced_backend_stacks(self, planner):
         """synced is a stacked substrate now — an explicit choice keeps
         the (B, N, 2) parallel layout and still batches."""
         synced = planner.plan_many(
-            [spec_request(model="parallel", backend="synced")
-             for _ in range(STACK_THRESHOLD)]
+            [spec_request(model="parallel", backend="synced") for _ in range(2)]
         )
         assert set(synced.strategies()) == {"stacked"}
         assert set(synced.backends()) == {"synced"}
 
     def test_heterogeneous_models_bucket_separately(self, planner):
-        requests = [spec_request() for _ in range(STACK_THRESHOLD)] + [
-            spec_request(model="parallel") for _ in range(STACK_THRESHOLD)
+        requests = [spec_request() for _ in range(3)] + [
+            spec_request(model="parallel") for _ in range(3)
         ]
         plan = planner.plan_many(requests)
         assert set(plan.strategies()) == {"stacked"}
         assert len(plan.groups) == 2
-        assert {g.indices[0] for g in plan.groups} == {0, STACK_THRESHOLD}
-
-    def test_mixed_small_buckets_fall_back_to_instance(self, planner):
-        requests = [spec_request()] * 32 + [spec_request(model="parallel")] * 32
-        plan = planner.plan_many(requests)
-        assert set(plan.strategies()) == {"instance"}
+        assert {g.indices[0] for g in plan.groups} == {0, 3}
 
     def test_capacity_policy_splits_buckets(self, planner):
-        requests = [spec_request()] * 32 + [spec_request(capacity="skip_empty")] * 32
+        requests = [spec_request()] * 3 + [spec_request(capacity="skip_empty")] * 3
         plan = planner.plan_many(requests)
-        # Two half-size buckets, neither reaches the stack threshold.
-        assert set(plan.strategies()) == {"instance"}
+        # Two stacked groups, one per capacity policy.
+        assert set(plan.strategies()) == {"stacked"}
+        assert len(plan.groups) == 2
 
     def test_jobs_route_spec_loads_to_fanout(self, planner):
         plan = planner.plan_many([spec_request()] * 4, jobs=2)
@@ -161,35 +127,11 @@ class TestAutoStrategy:
         assert plan.jobs == 2
 
     def test_jobs_leave_database_requests_local(self, planner, small_db):
+        """Databases live in this process: they stack in-process."""
         plan = planner.plan_many(
             [SamplingRequest(database=small_db)] * 4, jobs=2
         )
-        assert set(plan.strategies()) == {"instance"}
-
-    def test_custom_thresholds(self):
-        planner = Planner(stack_threshold=2)
-        plan = planner.plan_many([spec_request()] * 2)
         assert set(plan.strategies()) == {"stacked"}
-        with pytest.raises(PlanningError, match="stack_threshold"):
-            Planner(stack_threshold=0)
-
-    def test_thresholds_come_from_config(self):
-        """One definition: the planner's default is the config field."""
-        from repro.config import CONFIG
-
-        assert Planner().stack_threshold == CONFIG.stack_threshold
-        assert STACK_THRESHOLD == CONFIG.stack_threshold
-
-    def test_config_override_reaches_new_planners(self):
-        from repro.config import CONFIG
-
-        before = CONFIG.stack_threshold
-        CONFIG.stack_threshold = 2
-        try:
-            plan = Planner().plan_many([spec_request()] * 2)
-            assert set(plan.strategies()) == {"stacked"}
-        finally:
-            CONFIG.stack_threshold = before
 
 
 class TestForcedStrategy:
@@ -223,20 +165,16 @@ class TestForcedStrategy:
                 strategy="stacked",
             )
 
-    def test_batchable_hint_conflicts_with_unstackable_backend(self, planner):
-        with pytest.raises(PlanningError, match="not batchable"):
-            planner.plan(spec_request(backend="oracles", batchable=True))
-
     def test_explicit_subspace_backend_is_batchable(self, planner):
-        request = spec_request(backend="subspace", batchable=True)
+        request = spec_request(backend="subspace")
         plan = planner.plan(request)
         assert plan.strategies() == ("stacked",)
         assert plan.backends() == ("subspace",)
 
     def test_explicit_classes_backend_is_batchable_everywhere(self, planner):
-        """backend='classes' IS the batch substrate — no conflict, on any
-        strategy."""
-        request = spec_request(backend="classes", batchable=True)
+        """backend='classes' IS the batch substrate, and the per-instance
+        reference when forced."""
+        request = spec_request(backend="classes")
         assert planner.plan(request, strategy="instance").strategies() == ("instance",)
         assert planner.plan(request).strategies() == ("stacked",)
 
@@ -260,9 +198,9 @@ class TestForcedStrategy:
 class TestPlanShape:
     def test_groups_partition_indices_in_order(self, planner):
         requests = (
-            [spec_request(batchable=True)] * 2
+            [spec_request()] * 2
             + [spec_request(backend="oracles")]
-            + [spec_request(batchable=True)] * 2
+            + [spec_request()] * 2
         )
         plan = planner.plan_many(requests)
         covered = sorted(i for g in plan.groups for i in g.indices)

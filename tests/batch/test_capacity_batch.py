@@ -107,7 +107,6 @@ class TestCapacityPolicySurface:
                     database=mostly_empty_db,
                     model="parallel",
                     capacity="skip_empty",
-                    batchable=True,
                 )
             ]
         )

@@ -26,7 +26,7 @@ def _spec() -> InstanceSpec:
 
 
 def _requests(count: int) -> list[SamplingRequest]:
-    return [SamplingRequest(spec=_spec(), batchable=True) for _ in range(count)]
+    return [SamplingRequest(spec=_spec()) for _ in range(count)]
 
 
 def _names(result) -> set[str]:

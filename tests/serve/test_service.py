@@ -21,6 +21,7 @@ from repro.batch.driver import default_row
 from repro.core import SequentialSampler, solve_plan
 from repro.database import WorkloadSpec, round_robin, zipf_dataset
 from repro.database.dynamic import random_update_stream
+from repro.errors import ValidationError
 from repro.obs.trace import Tracer, disable_tracing, enable_tracing
 from repro.serve import SamplerService, ServiceClosedError, ShardedSamplerService
 from repro.utils.rng import as_generator, spawn_seed
@@ -271,6 +272,28 @@ class TestWorkConservingDispatch:
         assert telemetry["queue_depth"] == 0
 
 
+class TestWorkerCount:
+    """A worker count below 1 is a caller error, not a silent clamp."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_service_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            SamplerService(workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_front_door_rejects_nonpositive_workers(self, workers):
+        import repro
+        from repro.api import SamplingRequest
+
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            repro.serve([SamplingRequest(spec=spec_of(24))], workers=workers)
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            repro.sample_many(
+                [SamplingRequest(spec=spec_of(24))], strategy="served",
+                workers=workers,
+            )
+
+
 class TestShutdown:
     def test_graceful_close_drains_everything(self, make_one_worker_tier, hold):
         """Requests queued behind a blocked worker are all executed by
@@ -437,8 +460,6 @@ class TestStackedDenseServing:
     def test_explicit_dense_service_rejects_live_requests(self):
         """Mirror of the front-door planner: a stream snapshot cannot run
         on an explicitly pinned dense substrate — no silent substitution."""
-        from repro.errors import ValidationError
-
         db = round_robin(zipf_dataset(64, 24, exponent=1.2, rng=0), n_machines=2)
         stream = random_update_stream(db, 3, rng=1)
         service = SamplerService(backend="subspace")

@@ -5,6 +5,15 @@ import pytest
 from repro.__main__ import main
 
 
+def _row(table: str, metric: str) -> str:
+    """The value cell of one ``metric | value`` table row."""
+    for line in table.splitlines():
+        name, sep, value = line.partition("|")
+        if sep and name.strip() == metric:
+            return value.strip()
+    raise AssertionError(f"no {metric!r} row in:\n{table}")
+
+
 class TestCli:
     def test_no_command_prints_help(self, capsys):
         code = main([])
@@ -85,11 +94,21 @@ class TestCli:
         assert code == 0
         assert "4/4" in capsys.readouterr().out
 
-    def test_sample_batched_rejects_unstackable_backend(self, capsys):
+    def test_sample_batched_unstackable_backend_runs_per_instance(self, capsys):
+        """--batch routes like any bulk call: a backend with no stacked
+        implementation runs per instance, and the table says so."""
         code = main(["sample", "--batch", "4", "--backend", "oracles",
                      "--universe", "16", "--total", "8", "--machines", "2"])
-        assert code == 2
-        assert "not batchable" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "4/4" in out
+        assert _row(out, "strategy") == "instance"
+
+    def test_sample_batched_reports_stacked_strategy(self, capsys):
+        code = main(["sample", "--batch", "3", "--universe", "16",
+                     "--total", "8", "--machines", "2"])
+        assert code == 0
+        assert _row(capsys.readouterr().out, "strategy") == "stacked"
 
     def test_sample_batched_rejects_nonpositive_count(self, capsys):
         code = main(["sample", "--batch", "-1", "--universe", "16",
@@ -134,6 +153,15 @@ class TestServeCli:
         code = main(["serve", "--max-requests", "0"])
         assert code == 2
         assert "max-requests" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_serve_rejects_nonpositive_workers(self, capsys, workers):
+        """A worker count below 1 is an error, not a silent clamp to 1."""
+        code = main(["serve", "--max-requests", "2", "--rate", "0",
+                     "--universe", "16", "--total", "8", "--machines", "2",
+                     "--workers", workers])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_serve_rejects_nonpositive_shards(self, capsys):
         code = main(["serve", "--max-requests", "4", "--shards", "0"])
