@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata and install entry point.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-offline environment (no ``wheel`` package) can still do
-``pip install -e . --no-build-isolation`` through the legacy
-``setup.py develop`` path.
+There is no ``pyproject.toml``: this file holds all of the project
+metadata, so ``pip install -e .`` and, in an offline environment without
+the ``wheel`` package, ``pip install -e . --no-build-isolation`` (the
+legacy ``setup.py develop`` path) both install from it.
 """
 
 from setuptools import find_packages, setup

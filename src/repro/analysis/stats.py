@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from ..errors import ValidationError
 from ..utils.validation import require, require_pos_int
@@ -68,6 +67,8 @@ def chi_square_test(observed_counts: np.ndarray, expected_probs: np.ndarray) -> 
     if obs.size < 2:
         # Degenerate after pooling — a single cell always fits.
         return GoodnessOfFit(statistic=0.0, p_value=1.0, dof=0)
+    from scipy import stats as sps
+
     statistic, p_value = sps.chisquare(obs, exp)
     return GoodnessOfFit(
         statistic=float(statistic), p_value=float(p_value), dof=int(obs.size - 1)

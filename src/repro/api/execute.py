@@ -30,7 +30,9 @@ Strategy executors
 ``fanout``:
     The same stacked chunks shipped to a
     :class:`~concurrent.futures.ProcessPoolExecutor` for build-dominated
-    spec loads; workers return audit rows (states stay worker-side).
+    spec loads, in chunks of at most ``batch_size`` requests and small
+    enough that a group spreads over all ``jobs`` workers; workers
+    return audit rows (states stay worker-side).
 ``served``:
     The long-lived serving tier — shape-keyed re-packing with
     work-conserving dispatch (requests batch only while every worker is
@@ -104,8 +106,8 @@ def sample_many(
         Seed source for deterministic per-spec child seeds, drawn in
         request order (``run_batched``'s determinism contract).
     batch_size:
-        Instances per stacked tensor / fan-out work unit (default:
-        :data:`~repro.batch.driver.DEFAULT_BATCH_SIZE`).
+        Instances per stacked tensor, and the most per fan-out work unit
+        (default: :data:`~repro.batch.driver.DEFAULT_BATCH_SIZE`).
     jobs:
         ``jobs > 1`` fans spec-built groups across worker processes
         (the build-dominated regime); otherwise everything runs
@@ -525,7 +527,10 @@ def _execute_fanout(
     first = plan.resolved[group.indices[0]].request
     roots = context.get("trace_roots") or {}
     tracer = get_tracer()
-    chunks = list(_chunked(group.indices, plan.batch_size))
+    # Split the group across its jobs: chunking by batch_size alone would
+    # hand a group of ≤ batch_size requests to one worker.
+    size = min(plan.batch_size, -(-len(group.indices) // plan.jobs))
+    chunks = list(_chunked(group.indices, size))
     payloads = (
         (
             first.model,

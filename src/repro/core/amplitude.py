@@ -5,8 +5,9 @@ Amplitude amplification lives in the plane spanned by the "good" state
 algorithm needs — the generalized Grover iterate ``Q(φ, ϕ)``, its action
 as a rotation, the Eq. (7) decomposition of ``D|π, 0⟩`` — reduces to 2×2
 complex matrices here, which is also how the plan solver in
-:mod:`repro.core.exact_aa` stays free of sign-convention bugs: it computes
-with these matrices directly instead of trusting a closed form.
+:mod:`repro.core.exact_aa` stays free of sign-convention bugs: it derives
+its final angles on these matrices and checks the landing with them
+instead of trusting a published closed form.
 
 Basis convention: component 0 = good, component 1 = bad.
 """

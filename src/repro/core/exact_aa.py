@@ -6,21 +6,23 @@ angles are chosen so the rotation lands **exactly** on the good state —
 this is what makes the sampler's output ``|ψ⟩`` with fidelity 1 rather
 than ``1 − O(a)``.
 
-BHMT's Eq. (12) characterizes feasible ``(φ, ϕ)`` in closed form, but the
-closed form is a sign-convention minefield.  We instead solve directly on
-the 2×2 subspace matrices of :mod:`repro.core.amplitude`:
+BHMT's Eq. (12) characterizes feasible ``(φ, ϕ)``, but in its own sign
+conventions.  We derive the angles on the 2×2 subspace matrices of
+:mod:`repro.core.amplitude` instead:
 
 * write the state after ``m`` iterates as ``v = (sin x, cos x)``,
   ``x = (2m+1)θ ∈ [π/2 − 2θ, π/2]``;
 * the bad component after ``Q(φ, ϕ)`` is
   ``−[v_b (1 + z cos²θ) + z sinθ cosθ e^{iφ} v_g]`` with ``z = e^{iϕ}−1``;
-* zeroing it needs ``|v_b|·|1 + z cos²θ| = |z| sinθ cosθ |v_g|`` — a
-  monotone-bracketed scalar equation in ``ϕ`` (Brent), after which ``φ``
-  is a phase alignment.
+* zeroing it needs ``|v_b|·|1 + z cos²θ| = |z| sinθ cosθ |v_g|``.  With
+  ``|z| = 2 sin(ϕ/2)`` and ``|1 + z cos²θ|² = 1 − sin²2θ·sin²(ϕ/2)``,
+  squaring and using ``|v_g|² + |v_b|² = 1`` leaves
+  ``sin(ϕ/2) = |v_b| / sin 2θ`` — a closed form for ``ϕ``, after which
+  ``φ`` is a phase alignment.
 
-Feasibility is exactly BHMT's condition ``cot((2m+1)θ) ≤ tan 2θ``, which
-``m = ⌊m̃⌋`` guarantees; the solver asserts the landing numerically to
-1e-12 as defense in depth.
+A solution exists exactly when ``|v_b| ≤ sin 2θ``, i.e. BHMT's condition
+``cot((2m+1)θ) ≤ tan 2θ``, which ``m = ⌊m̃⌋`` guarantees; the solver
+asserts the landing numerically to 1e-10 as defense in depth.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import PlanInfeasibleError
 from .amplitude import q_matrix, state_after_iterations
@@ -155,33 +156,18 @@ def _solve_final_angles(theta: float, v_good: float, v_bad: float) -> tuple[floa
     """Solve ``(φ, ϕ)`` zeroing the bad component of ``Q(φ,ϕ)·(v_good, v_bad)``.
 
     The bad component is ``−[v_b(1 + z cos²θ) + z sinθ cosθ e^{iφ} v_g]``
-    with ``z = e^{iϕ} − 1``; see the module docstring for the reduction.
+    with ``z = e^{iϕ} − 1``; see the module docstring for the closed form
+    ``sin(ϕ/2) = |v_b| / sin 2θ``.
     """
     sin_t = np.sin(theta)
     cos_t = np.cos(theta)
-
-    def magnitude_gap(phi: float) -> float:
-        z = np.exp(1j * phi) - 1.0
-        lhs = abs(v_bad) * abs(1.0 + z * cos_t**2)
-        rhs = abs(z) * sin_t * cos_t * abs(v_good)
-        return lhs - rhs
-
-    lo, hi = 1e-12, np.pi
-    gap_lo = magnitude_gap(lo)
-    gap_hi = magnitude_gap(hi)
-    if gap_lo < 0:
-        # |v_bad| ≈ 0 handled by the caller; reaching here means numerics
-        # already favour tiny ϕ — accept the boundary.
-        phi = lo
-    elif gap_hi > _EXACT_TOL:
+    sin_2t = np.sin(2.0 * theta)
+    if abs(v_bad) > sin_2t + _EXACT_TOL:
         raise PlanInfeasibleError(
-            f"no feasible final rotation: magnitude gap at ϕ=π is {gap_hi:.3e} > 0 "
-            f"(θ={theta}); BHMT feasibility cot((2m+1)θ) ≤ tan2θ violated"
+            f"no feasible final rotation: |v_b| = {abs(v_bad):.3e} > sin 2θ = "
+            f"{sin_2t:.3e} (θ={theta}); BHMT feasibility cot((2m+1)θ) ≤ tan2θ violated"
         )
-    elif abs(gap_hi) <= _EXACT_TOL:
-        phi = float(np.pi)
-    else:
-        phi = float(brentq(magnitude_gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    phi = float(2.0 * np.arcsin(min(1.0, abs(v_bad) / sin_2t)))
 
     z = np.exp(1j * phi) - 1.0
     numerator = -v_bad * (1.0 + z * cos_t**2)

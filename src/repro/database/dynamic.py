@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import CapacityError, ValidationError
 from ..utils.rng import as_generator
 from ..utils.validation import require, require_index, require_pos_int
 from .distributed import DistributedDatabase
@@ -95,38 +95,41 @@ class UpdateStream:
         return self._class_state
 
     def apply_next(self, count: int = 1) -> int:
-        """Apply the next ``count`` updates; returns how many actually ran."""
+        """Apply the next ``count`` updates; returns how many actually ran.
+
+        Every bound is checked before an update mutates anything: the
+        joint count's ν (read from the live class map when
+        :meth:`class_state` is tracking, else summed over the ``n``
+        machines), then ``κ_j`` and presence in ``Machine.insert``/
+        ``remove``.  A failing update raises with the stream position,
+        database and class map unchanged, so a retry cannot double-apply
+        it.
+        """
         count = require_pos_int(count, "count")
+        nu = self._db.nu
         ran = 0
         while ran < count and self._applied < len(self._updates):
             update = self._updates[self._applied]
-            machine = self._db.machine(update.machine)
-            new_class = None
+            delta = 1 if update.kind == "insert" else -1
             if self._class_state is not None:
-                delta = 1 if update.kind == "insert" else -1
-                new_class = int(self._class_state.element_classes[update.element]) + delta
-                # Check the ν bound (and the empty-delete case) BEFORE
-                # touching the machine: Machine.insert only enforces the
-                # local κ_j, and a failure after the mutation would leave
-                # the stream position and class map behind the database —
-                # a retry would then double-apply the update.
-                if not 0 <= new_class < self._class_state.n_classes:
-                    raise ValidationError(
-                        f"update #{self._applied} ({update.kind} of element "
-                        f"{update.element}) would move its joint count to "
-                        f"{new_class}, outside [0, ν = "
-                        f"{self._class_state.n_classes - 1}]"
-                    )
+                joint = int(self._class_state.element_classes[update.element])
+            else:
+                joint = sum(m.multiplicity(update.element) for m in self._db)
+            if joint + delta > nu:
+                raise CapacityError(
+                    f"update #{self._applied} ({update.kind} of element "
+                    f"{update.element}) would move its joint count to "
+                    f"{joint + delta}, above ν = {nu}"
+                )
+            machine = self._db.machine(update.machine)
             if update.kind == "insert":
                 machine.insert(update.element)
             else:
                 machine.remove(update.element)
-            if new_class is not None:
-                self._class_state.transfer_element(update.element, new_class)
+            if self._class_state is not None:
+                self._class_state.transfer_element(update.element, joint + delta)
             self._applied += 1
             ran += 1
-        if ran:
-            self._db.validate()
         return ran
 
     def apply_all(self) -> int:

@@ -1,8 +1,9 @@
 """Star-topology communication model for the coordinator and machines.
 
 The paper's model is a coordinator talking to ``n`` machines (a star).
-This module makes the topology explicit — as a graph when :mod:`networkx`
-is available, with a dependency-free fallback — and computes the
+This module makes the topology explicit — as a :mod:`networkx` graph when
+that optional extra is installed (it loads on the first :func:`star_graph`
+call, never at import), with a dependency-free fallback — and computes the
 round/latency structure of a query schedule: sequential queries serialize
 on the coordinator, parallel queries share a round.  The latency model is
 deliberately simple (unit cost per link use) — it exists to make the
@@ -18,11 +19,6 @@ from typing import Sequence
 from ..errors import ValidationError
 from ..utils.validation import require_pos_int
 
-try:  # networkx is an optional extra
-    import networkx as _nx
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _nx = None
-
 COORDINATOR = "coordinator"
 
 
@@ -32,9 +28,13 @@ def star_graph(n_machines: int):
     Raises ``ImportError`` when networkx is unavailable.
     """
     n_machines = require_pos_int(n_machines, "n_machines")
-    if _nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for star_graph(); install repro[analysis]")
-    graph = _nx.Graph()
+    try:  # networkx is an optional extra
+        import networkx as nx
+    except ImportError:
+        raise ImportError(
+            "networkx is required for star_graph(); install repro[analysis]"
+        ) from None
+    graph = nx.Graph()
     graph.add_node(COORDINATOR, role="coordinator")
     for j in range(n_machines):
         graph.add_node(f"machine-{j}", role="machine", index=j)

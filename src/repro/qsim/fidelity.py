@@ -10,7 +10,6 @@ used when comparing measured spectra.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import ValidationError
 from .state import StateVector
@@ -36,6 +35,8 @@ def fidelity_mixed_pure(rho: np.ndarray, phi: np.ndarray | StateVector) -> float
 
 def fidelity_mixed_mixed(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity ``(Tr √(√ρ σ √ρ))²`` for two density matrices."""
+    import scipy.linalg
+
     rho = np.asarray(rho, dtype=np.complex128)
     sigma = np.asarray(sigma, dtype=np.complex128)
     if rho.shape != sigma.shape:

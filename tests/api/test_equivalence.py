@@ -134,6 +134,40 @@ class TestFanoutStrategy:
         # Fan-out ships rows, not states: the run stayed worker-side.
         assert all(result.sampling is None for result in results)
 
+    def test_group_splits_across_jobs(self, monkeypatch):
+        """A group no larger than ``batch_size`` still reaches every job:
+        64 requests on 2 jobs ship as two chunks of 32, not one of 64."""
+        import repro.api.execute as execute
+
+        shipped = []
+        pool_map = execute.process_map_iter
+
+        def recording(fn, payloads, jobs=None):
+            def tee():
+                for payload in payloads:
+                    shipped.append(len(payload[1]))
+                    yield payload
+
+            return pool_map(fn, tee(), jobs=jobs)
+
+        monkeypatch.setattr(execute, "process_map_iter", recording)
+        requests = [
+            SamplingRequest(spec=spec_of(tag=f"s{k}"), include_probabilities=False)
+            for k in range(64)
+        ]
+        fanout = sample_many(requests, rng=7, jobs=2)
+        assert set(fanout.strategies()) == {"fanout"}
+        assert shipped == [32, 32]
+        in_process = sample_many(requests, rng=7, jobs=1)
+
+        def strip(rows):
+            return [
+                {k: v for k, v in row.items() if k not in ("strategy", "wall_time_s")}
+                for row in rows
+            ]
+
+        assert strip(fanout.rows()) == strip(in_process.rows())
+
 
 class TestServedStrategy:
     """repro.serve vs SamplerService — same seeds, same rows."""

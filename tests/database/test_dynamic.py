@@ -1,6 +1,8 @@
 """Dynamic updates (Section 3 remark): streams, costs, validity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database import (
     DistributedDatabase,
@@ -10,7 +12,7 @@ from repro.database import (
     UpdateStream,
     random_update_stream,
 )
-from repro.errors import ValidationError
+from repro.errors import CapacityError, ValidationError
 
 
 @pytest.fixture
@@ -176,3 +178,57 @@ class TestClassStateTracking:
         np.testing.assert_array_equal(db.joint_counts, before)
         assert stream.applied == 0
         np.testing.assert_array_equal(state.element_classes, before)
+
+    def test_untracked_over_capacity_insert_fails_atomically(self):
+        # Without a class map the ν bound is summed over the machines
+        # before the insert; the database used to be mutated first and
+        # rejected only by the full rescan afterwards, with the stream
+        # position already advanced.
+        import numpy as np
+
+        machines = [
+            Machine(Multiset(4, {0: 2}), capacity=8, name="m0"),
+            Machine(Multiset(4, {0: 1}), capacity=8, name="m1"),
+        ]
+        db = DistributedDatabase(machines, nu=3)  # element 0 already at ν
+        stream = UpdateStream(db, [Update(1, 0, "insert")])
+        before = db.joint_counts.copy()
+        for _ in range(2):  # the retry must not double-apply either
+            with pytest.raises(CapacityError):
+                stream.apply_next()
+        np.testing.assert_array_equal(db.joint_counts, before)
+        assert stream.applied == 0
+        assert stream._class_state is None
+        db.validate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    universe=st.integers(min_value=1, max_value=12),
+    total=st.integers(min_value=1, max_value=30),
+    n_machines=st.integers(min_value=1, max_value=4),
+    headroom=st.integers(min_value=0, max_value=2),
+    length=st.integers(min_value=1, max_value=40),
+    insert_probability=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tracked=st.booleans(),
+)
+def test_every_prefix_of_a_random_stream_is_valid(
+    universe, total, n_machines, headroom, length, insert_probability, seed, tracked
+):
+    """``validate()`` (the full rescan ``apply_next`` no longer runs)
+    holds after every prefix, with and without a live class map."""
+    import numpy as np
+
+    from repro.database import round_robin, uniform_dataset
+
+    db = round_robin(uniform_dataset(universe, total, rng=seed), n_machines=n_machines)
+    db = db.with_nu(db.nu + headroom)
+    stream = random_update_stream(db, length, insert_probability, rng=seed)
+    state = stream.class_state() if tracked else None
+    while stream.pending:
+        assert stream.apply_next() == 1
+        db.validate()
+        if state is not None:
+            np.testing.assert_array_equal(state.element_classes, db.joint_counts)
+    assert stream.applied == length
