@@ -7,11 +7,13 @@ as one tensor, on an interchangeable stacked representation.
     :class:`StackedBackend` — the stacked-backend protocol and registry
     (the batch-level mirror of :mod:`repro.core.backends`), with
     ``"auto"`` resolving to the ``classes`` substrate at every scale.
-:mod:`repro.batch.stacked`
-    :class:`StackedClassVector` — ``B`` count-class states CSR-packed
-    into one ``(Σ(νᵢ+1), 2)`` values plane with per-instance class maps
-    (the ``"classes"`` substrate: any scale, any mix of ν, rows
-    bit-identical to per-instance ``classes`` runs).
+:class:`StackedClassVector`
+    ``B`` count-class states CSR-packed into one ``(Σ(νᵢ+1), 2)`` values
+    plane with per-instance class maps (the ``"classes"`` substrate: any
+    scale, any mix of ν).  It lives in :mod:`repro.qsim.classvector`
+    beside :class:`~repro.qsim.classvector.ClassVector`, because the
+    per-instance ``classes`` backend of :mod:`repro.core` runs the same
+    kernel on a ``B = 1`` stack; re-exported here.
 :mod:`repro.batch.stacked_dense`
     :class:`StackedSubspaceVector` — ``B`` dense Eq. (5) states as one
     ``(B, N, 2)`` tensor (the ``"subspace"`` substrate, bit-identical to
@@ -27,6 +29,7 @@ as one tensor, on an interchangeable stacked representation.
     deterministic seeding, batch packing and optional process fan-out.
 """
 
+from ..qsim.classvector import StackedClassVector
 from .backends import (
     AUTO_STACKED_BACKEND,
     CLASS_SUBSTRATE,
@@ -46,7 +49,6 @@ from .driver import (
     run_batched,
 )
 from .engine import ClassInstance, cached_plan, execute_class_batch, execute_sampling_batch
-from .stacked import StackedClassVector
 from .stacked_dense import StackedSubspaceVector, StackedSyncedVector
 
 __all__ = [

@@ -17,10 +17,11 @@ Stacked backends
 ``"classes"`` (both models):
     ``B`` count-class compressed states CSR-packed into one
     ``(Σ(ν_b+1), 2)`` values plane
-    (:class:`~repro.batch.stacked.StackedClassVector`).  ``O(Σν_b)``
+    (:class:`~repro.qsim.classvector.StackedClassVector`).  ``O(Σν_b)``
     memory regardless of ``N`` and no padding for mixed ``ν`` — the
-    substrate that stacks million-element universes, with rows
-    bit-identical to per-instance ``classes`` runs.
+    substrate that stacks million-element universes.  Per-instance
+    ``classes`` runs execute the same kernel on a ``B = 1`` stack, so
+    rows are bit-identical to them by construction.
 ``"subspace"`` (sequential):
     ``B`` dense Eq. (5) states as one ``(B, N, 2)`` tensor
     (:mod:`repro.batch.stacked_dense`), padded with inert rows for
@@ -35,7 +36,7 @@ Stacked backends
 
 The state objects returned by :meth:`StackedBackend.uniform_state`
 share the batched phase surface of
-:class:`~repro.batch.stacked.StackedClassVector`
+:class:`~repro.qsim.classvector.StackedClassVector`
 (``apply_phase_slice`` / ``apply_pi_projector_phase`` /
 ``apply_global_phase``, with scalar or per-instance ``(B,)`` phases), so
 the engine's iterate loop never branches on the representation.
@@ -52,16 +53,13 @@ equivalence suites' references.
 from __future__ import annotations
 
 import abc
-from functools import lru_cache
 from typing import ClassVar, Protocol, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..core.distributing import u_rotation_blocks
+from ..core.distributing import cached_u_blocks
 from ..errors import ValidationError
-from ..qsim.classvector import ClassVector
-from ..qsim.operators import adjoint_blocks
-from .stacked import StackedClassVector
+from ..qsim.classvector import ClassVector, StackedClassVector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import ClassInstance
@@ -239,30 +237,18 @@ def resolve_stacked_name(name: str, model: str) -> str:
 # -- the count-class stacked backend ----------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def cached_u_blocks(nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eq. (6) rotation blocks for capacity ``nu`` as ``(forward, adjoint)``.
-
-    One ``(ν+1, 2, 2)`` pair per distinct capacity, shared by every group
-    that stacks an instance of that ``ν``; treat both as read-only.
-    """
-    forward = np.array(u_rotation_blocks(nu), dtype=np.complex128)
-    adjoint = adjoint_blocks(forward)
-    forward.setflags(write=False)
-    adjoint.setflags(write=False)
-    return forward, adjoint
-
-
 @register_stacked_backend
 class StackedClassBackend(StackedBackend):
     """``B`` count-class states CSR-packed into one plane (both models).
 
     ``O(Σν_b)`` memory independent of ``N``, every iterate a constant
-    number of kernels.  Each segment performs the same per-cell
-    arithmetic and the same reduction trees as that instance's own
-    :class:`~repro.qsim.classvector.ClassVector`, so rows are
-    bit-identical to per-instance ``classes``-backend runs whatever
-    batch they ran in (regression-tested in ``tests/batch/``).
+    number of kernels.  Each segment reduces over exactly its own cells,
+    so a row does not depend on the batch it ran in; the per-instance
+    ``classes`` backend runs the same kernel on a ``B = 1`` stack, so
+    stacked and per-instance rows are bit-identical (regression-tested
+    in ``tests/batch/``).  The rotation blocks come from
+    :func:`~repro.core.distributing.cached_u_blocks`, the cache the
+    per-instance ``D`` reads too.
     """
 
     name = "classes"

@@ -25,11 +25,15 @@ Exactness is not traded for throughput:
 * instances in one group may differ in ``N``, ``ν``, ``n`` and final
   partial-iterate angles — each class segment has its instance's own
   width, and phases are per-instance arrays;
-* the equivalence tests assert output probabilities, fidelities, class
-  amplitudes and ledgers match unbatched ``classes``-backend runs with
-  ``==`` whatever batch an instance ran in, and that stacked
-  ``subspace`` runs match per-instance
-  :class:`~repro.core.backends.SubspaceBackend` rows bit for bit.
+* per-instance ``classes``-backend runs execute the same
+  :class:`~repro.qsim.classvector.StackedClassVector` kernel on a
+  ``B = 1`` stack, charging their ledger call by call.  The equivalence
+  tests assert output probabilities, fidelities, class amplitudes and
+  ledgers match those runs with ``==``, which proves that a row does not
+  depend on the batch it ran in and that the bulk ledger equals the
+  call-by-call one; stacked ``subspace`` runs match per-instance
+  :class:`~repro.core.backends.SubspaceBackend` rows bit for bit, and
+  the dense references check the kernel's physics at 1e-12.
 
 Two batch-level amortizations do the heavy lifting beyond tensor
 stacking: zero-error plans are memoized by overlap value (a sweep's
@@ -484,7 +488,6 @@ def pack_group_results(
         state = res.final_state
         if isinstance(state, ClassVector):
             entry["state"] = "classes"
-            entry["norm"] = float(state._expected_norm)
             entry["seg"] = len(widths)
             arrays[f"ec{i}"] = state.element_classes
             widths.append(int(state.n_classes))
@@ -554,7 +557,6 @@ def unpack_group_results(
                 np.array(arrays[f"ec{i}"]),
                 np.array(arrays["class_sizes"][lo:hi]),
                 np.array(arrays["class_values"][lo:hi]),
-                expected_norm=float(entry["norm"]),  # type: ignore[arg-type]
             )
         else:
             layout_spec = entry.get("layout")

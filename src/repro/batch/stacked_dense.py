@@ -64,12 +64,12 @@ import numpy as np
 
 from ..config import CONFIG
 from ..errors import EmptyDatabaseError, NotUnitaryError, ValidationError
+from ..qsim.classvector import _as_phase_column
 from ..qsim.fourier import uniform_state
 from ..qsim.register import RegisterLayout
 from ..qsim.state import StateVector
 from ..utils.validation import require
 from .backends import StackedBackend, register_stacked_backend
-from .stacked import _as_phase_column
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import ClassInstance
@@ -147,7 +147,7 @@ class StackedSubspaceVector:
     restricted to what the amplification engine drives — flag phase
     slices, the ``S_π`` projector phase, global phases — with phases
     accepted as scalars or per-instance ``(B,)`` arrays, exactly like
-    :class:`~repro.batch.stacked.StackedClassVector`.  The ``D`` kernel
+    :class:`~repro.qsim.classvector.StackedClassVector`.  The ``D`` kernel
     lives in :meth:`apply_element_flag_rotation` (per-element 2×2
     rotations, the batched form of Eq. 5).
     """
@@ -340,7 +340,7 @@ class StackedSubspaceVector:
 
         Only the flag register is addressable — the amplification loop
         never phases a single element, and keeping the surface identical
-        to :class:`~repro.batch.stacked.StackedClassVector` is what lets
+        to :class:`~repro.qsim.classvector.StackedClassVector` is what lets
         the engine stay representation-blind.
         """
         if reg != "w":

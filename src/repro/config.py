@@ -45,9 +45,11 @@ class NumericsConfig:
         Amplitude amplification composes ``O(√(νN/M))`` rotations, so the
         accumulated drift budget is a little looser than :attr:`atol`.
     strict_checks:
-        When True every :class:`~repro.qsim.state.StateVector` mutation
-        verifies norm preservation and raises
-        :class:`~repro.errors.NotUnitaryError` on violation.  Stored in a
+        When True every :class:`~repro.qsim.state.StateVector` mutation,
+        and every kernel of the count-class
+        :class:`~repro.qsim.classvector.StackedClassVector` (stacked and
+        per-instance ``classes`` runs alike), verifies norm preservation
+        and raises :class:`~repro.errors.NotUnitaryError` on violation.  Stored in a
         :class:`~contextvars.ContextVar`, so the setting is scoped to the
         current thread/task and safe under concurrent sweeps.
     max_dense_dimension:
@@ -56,9 +58,9 @@ class NumericsConfig:
         :class:`~repro.errors.SimulationLimitError` rather than attempting
         a massive allocation.  Routing never consults it: ``"auto"``
         resolves to the ``classes`` backend
-        (:class:`~repro.qsim.classvector.ClassVector`), whose state is
-        ``O(ν)`` regardless of ``N``, so the dense layouts run only when
-        named explicitly.
+        (:class:`~repro.qsim.classvector.StackedClassVector`), whose
+        state is ``O(ν)`` regardless of ``N``, so the dense layouts run
+        only when named explicitly.
     shard_arena_bytes:
         Per-worker shared-memory arena capacity of the sharded serving
         tier (:class:`repro.serve.shard.ShardedSamplerService`).  Sized

@@ -64,7 +64,6 @@ from .schedule import QuerySchedule, ScheduleEntry
 from .sequential import SequentialSampler, sample_sequential
 from .target import (
     fidelity_with_target,
-    fidelity_with_target_classes,
     target_amplitudes,
     target_on_layout,
     target_state,
@@ -95,7 +94,6 @@ __all__ = [
     "estimate_overlap",
     "execute_sampling",
     "fidelity_with_target",
-    "fidelity_with_target_classes",
     "grover_reps_for",
     "grover_rotation_matrix",
     "initial_decomposition",

@@ -10,7 +10,8 @@ module lifts that recurring shape into one first-class abstraction:
 * :class:`SamplerBackend` — the interface a simulation substrate must
   provide: build the initial state (``F`` applied to the element
   register), hand the engine a ``D`` applier wired to a query ledger, and
-  extract fidelity + output distribution at the end.
+  extract fidelity, output distribution and the stored final state at
+  the end.
 * a **registry** (:func:`register_backend`, :func:`create_backend`,
   :func:`backend_names`) keyed by backend name and filtered by which
   query model (``"sequential"``/``"parallel"``) the backend supports.
@@ -28,11 +29,13 @@ Backends
 ``"dense"`` (parallel):
     Honest per-machine ancilla triples — exponential in ``n``.
 ``"classes"`` (both models):
-    The ``O(ν)``-memory count-class compression
-    (:class:`~repro.qsim.classvector.ClassVector`): one amplitude per
-    ``(count-class, flag)`` cell with multiplicity weights.  Reaches
-    ``N ≥ 10⁶`` where every dense layout trips ``max_dense_dimension``,
-    while the ledger still charges the honest per-paper query cost.
+    The ``O(ν)``-memory count-class compression: one amplitude per
+    ``(count-class, flag)`` cell with multiplicity weights.  It runs on a
+    ``B = 1`` :class:`~repro.qsim.classvector.StackedClassVector` — the
+    stacked engine's kernel — and stores the instance as a
+    :class:`~repro.qsim.classvector.ClassVector`.  Reaches ``N ≥ 10⁶``
+    where every dense layout trips ``max_dense_dimension``, while the
+    ledger still charges the honest per-paper query cost, call by call.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..config import CONFIG
 from ..database.distributed import DistributedDatabase
 from ..database.ledger import QueryLedger
 from ..errors import ValidationError
-from ..qsim.classvector import ClassVector
+from ..qsim.classvector import ClassVector, StackedClassVector
 from ..qsim.register import RegisterLayout
 from ..qsim.state import StateVector
 from .distributing import (
@@ -59,7 +62,7 @@ from .engine import AmplifiableState, DApplier, run_amplification
 from .exact_aa import AmplificationPlan
 from .result import SamplingResult
 from .schedule import QuerySchedule
-from .target import fidelity_with_target, fidelity_with_target_classes
+from .target import fidelity_with_target
 
 #: The query models of Theorems 4.3 and 4.5.
 MODELS = ("sequential", "parallel")
@@ -116,6 +119,10 @@ class SamplerBackend(abc.ABC):
     def output_probabilities(self, state: AmplifiableState) -> np.ndarray:
         """Born distribution of the element register."""
         return state.marginal_probabilities("i")
+
+    def final_state(self, state: AmplifiableState):
+        """What the result stores as its final state (the run state itself)."""
+        return state
 
     # -- shared helpers ----------------------------------------------------------
 
@@ -214,7 +221,7 @@ def execute_sampling(
         ledger=ledger,
         fidelity=backend.fidelity(state),
         output_probabilities=backend.output_probabilities(state),
-        final_state=state,
+        final_state=backend.final_state(state),
         public_parameters=db.public_parameters(),
     )
 
@@ -315,19 +322,23 @@ class DenseBackend(_ParallelDenseBase):
 class ClassesBackend(SamplerBackend):
     """``O(ν)``-memory count-class compression, for both query models.
 
-    The state is a :class:`~repro.qsim.classvector.ClassVector`: one
-    amplitude per ``(count-class, flag)`` cell, weighted by the class
-    multiplicities ``N_c``.  Amplification work per iterate is ``O(ν)``
-    instead of ``O(N·ν)``, and no dense array of dimension ``N`` is ever
-    allocated for the quantum state, so ``max_dense_dimension`` does not
-    apply — this is the backend that reaches million-element universes.
+    The run state is a ``B = 1``
+    :class:`~repro.qsim.classvector.StackedClassVector`: one amplitude
+    per ``(count-class, flag)`` cell, weighted by the class multiplicities
+    ``N_c``, on the same kernel the stacked engine runs whole batches
+    on.  The result stores it as a
+    :class:`~repro.qsim.classvector.ClassVector` (``extract(0)``).
+    Amplification work per iterate is ``O(ν)`` instead of ``O(N·ν)``,
+    and no dense array of dimension ``N`` is ever allocated for the
+    quantum state, so ``max_dense_dimension`` does not apply — this is
+    the backend that reaches million-element universes.
     """
 
     name = "classes"
     models = ("sequential", "parallel")
 
-    def initial_state(self) -> ClassVector:
-        return ClassVector.uniform(self._db.joint_counts, self._db.nu + 1)
+    def initial_state(self) -> StackedClassVector:
+        return StackedClassVector.uniform([self._db.joint_counts], [self._db.nu + 1])
 
     def d_applier(self, ledger: QueryLedger | None) -> DApplier:
         op = ClassDistributingOperator(
@@ -339,5 +350,11 @@ class ClassesBackend(SamplerBackend):
 
         return d_apply
 
-    def fidelity(self, state: ClassVector) -> float:
-        return fidelity_with_target_classes(self._db, state)
+    def fidelity(self, state: StackedClassVector) -> float:
+        return float(state.fidelities_with_targets([self._db.total_count])[0])
+
+    def output_probabilities(self, state: StackedClassVector) -> np.ndarray:
+        return state.output_probabilities(0)
+
+    def final_state(self, state: StackedClassVector) -> ClassVector:
+        return state.extract(0)

@@ -20,6 +20,8 @@ samplers consume.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..database.distributed import DistributedDatabase
@@ -55,6 +57,19 @@ def u_rotation_blocks(nu: int) -> np.ndarray:
     return rotation_blocks_from_counts(np.arange(nu + 1), nu)
 
 
+@lru_cache(maxsize=256)
+def cached_u_blocks(nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. (6) rotation blocks for capacity ``nu`` as ``(forward, adjoint)``.
+
+    One ``(ν+1, 2, 2)`` pair per distinct capacity, shared by every
+    per-instance ``classes`` run and every stacked group of that ``ν``;
+    treat both as read-only.
+    """
+    forward = np.array(u_rotation_blocks(nu), dtype=np.complex128)
+    adjoint = adjoint_blocks(forward)
+    forward.setflags(write=False)
+    adjoint.setflags(write=False)
+    return forward, adjoint
 
 
 class DirectDistributingOperator:
@@ -118,8 +133,10 @@ class ClassDistributingOperator:
     applies ``D`` exactly, in ``O(ν)`` work and memory.  The ledger still
     charges the honest per-paper cost of whichever circuit the model would
     execute — Lemma 4.2's ``2n'`` sequential calls per application, or
-    Lemma 4.4's 4 parallel rounds — so complexity accounting is identical
-    to the dense backends.
+    Lemma 4.4's 4 parallel rounds — call by call, so complexity
+    accounting is identical to the dense backends.  The stacked engine
+    charges the same totals in bulk (``repro.batch.engine._charge_run``);
+    the ``==`` row gates between the two paths check that they agree.
     """
 
     def __init__(
@@ -133,8 +150,7 @@ class ClassDistributingOperator:
         self._db = db
         self._ledger = ledger
         self._model = model
-        self._blocks = u_rotation_blocks(db.nu)
-        self._blocks_adj = adjoint_blocks(self._blocks)
+        self._blocks, self._blocks_adj = cached_u_blocks(db.nu)
         self._active = validated_active_machines(db, active_machines)
 
     @property
@@ -148,7 +164,13 @@ class ClassDistributingOperator:
         return 4
 
     def apply(self, state, adjoint: bool = False):
-        """Apply ``D`` (or ``D†``) to a :class:`ClassVector`."""
+        """Apply ``D`` (or ``D†``) to a one-instance count-class state.
+
+        ``state`` is the ``B = 1``
+        :class:`~repro.qsim.classvector.StackedClassVector` the
+        per-instance ``classes`` backend runs on: the stacked engine's
+        kernel, charged here call by call instead of in bulk.
+        """
         if self._model == "sequential":
             self._charge_sequential()
         else:

@@ -26,7 +26,9 @@ class AmplifiableState(Protocol):
     """The operation surface the engine needs from a state substrate.
 
     Satisfied by the dense :class:`~repro.qsim.state.StateVector` and the
-    compressed :class:`~repro.qsim.classvector.ClassVector` alike.
+    count-class :class:`~repro.qsim.classvector.StackedClassVector` alike
+    (the per-instance ``classes`` backend runs a ``B = 1`` stack, whose
+    scalar phases apply to its one instance).
     """
 
     def apply_phase_slice(self, reg: str, value: int, phase: complex):  # pragma: no cover
@@ -66,7 +68,7 @@ def apply_s_pi(
     below Eq. (7) (the ``F`` basis only enters through ``F|0⟩ = |π⟩``) —
     via each substrate's ``apply_pi_projector_phase`` kernel (rank-one
     dense update for :class:`StateVector`, ``O(ν)`` closed form for
-    :class:`ClassVector`).
+    :class:`StackedClassVector`).
     """
     return state.apply_pi_projector_phase(np.exp(1j * phi), element_reg, flag_reg)
 

@@ -18,8 +18,11 @@ Backends (resolved through :mod:`repro.core.backends`)
     for validation on small instances (the cross-backend test).
 ``"classes"``:
     ``O(ν)``-memory count-class compression — same substrate the
-    sequential sampler uses, with Lemma 4.4's 4-rounds-per-``D`` ledger
-    accounting.  Reaches ``N ≥ 10⁶``.
+    sequential sampler uses (a ``B = 1``
+    :class:`~repro.qsim.classvector.StackedClassVector`, stored on the
+    result as a :class:`~repro.qsim.classvector.ClassVector`), with
+    Lemma 4.4's 4-rounds-per-``D`` ledger accounting.  Reaches
+    ``N ≥ 10⁶``.
 """
 
 from __future__ import annotations

@@ -36,9 +36,10 @@ class SamplingResult:
         should equal ``c_i/M`` exactly.
     final_state:
         The full final state — a dense :class:`~repro.qsim.state.StateVector`
-        or a compressed :class:`~repro.qsim.classvector.ClassVector`,
-        depending on the backend (kept for analysis; drop it via
-        :meth:`summary` for lightweight records).
+        or a compressed :class:`~repro.qsim.classvector.ClassVector`
+        (what the backend's ``final_state`` hook stores), depending on
+        the backend (kept for analysis; drop it via :meth:`summary` for
+        lightweight records).
     public_parameters:
         The database's public side ``(N, n, ν, M, κ_j)`` at run time.
     """

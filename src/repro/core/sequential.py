@@ -19,11 +19,14 @@ Backends (resolved through :mod:`repro.core.backends`)
     the two backends agree amplitude-for-amplitude — a tested invariant.
     ~``ν+1``× less memory, same ledger.
 ``"classes"``:
-    ``O(ν)``-memory count-class compression
-    (:class:`~repro.qsim.classvector.ClassVector`) — the amplification
+    ``O(ν)``-memory count-class compression — the amplification
     dynamics only see ``i`` through ``c_i``, so one amplitude per
-    ``(count-class, flag)`` cell suffices.  Reaches ``N ≥ 10⁶``; same
-    ledger as the dense backends.
+    ``(count-class, flag)`` cell suffices.  It runs on a ``B = 1``
+    :class:`~repro.qsim.classvector.StackedClassVector`, the stacked
+    engine's kernel (so :meth:`SequentialSampler.initial_state` and
+    ``on_step`` callbacks see that stack), and the result stores a
+    :class:`~repro.qsim.classvector.ClassVector`.  Reaches
+    ``N ≥ 10⁶``; same ledger as the dense backends.
 """
 
 from __future__ import annotations

@@ -49,24 +49,3 @@ def fidelity_with_target(
     reference = target_on_layout(db, state.layout, element_reg)
     return float(abs(reference.overlap(state)) ** 2)
 
-
-def fidelity_with_target_classes(db: DistributedDatabase, state) -> float:
-    """:func:`fidelity_with_target` for a count-class compressed state.
-
-    In class coordinates ``⟨ψ, 0|state⟩ = Σ_c N_c √(c/M) α[c, 0]`` — the
-    target amplitude ``√(c_i/M)`` is itself a function of the count class,
-    so the overlap contracts in ``O(ν)`` without expanding the state.
-    The modulus is taken with the array ``np.abs`` the stacked class
-    kernels use (the scalar ``abs`` rounds differently), so per-instance
-    and stacked fidelities are bit-identical.
-    """
-    total = db.total_count
-    if total <= 0:
-        raise EmptyDatabaseError("the joint database is empty; |ψ⟩ is undefined")
-    class_values = np.arange(state.n_classes, dtype=np.float64)
-    target_per_class = np.sqrt(class_values / total)
-    overlap = np.sum(
-        state.class_sizes * target_per_class * state.class_amplitudes()[:, 0],
-        keepdims=True,
-    )
-    return float((np.abs(overlap) ** 2)[0])

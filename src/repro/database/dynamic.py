@@ -77,8 +77,12 @@ class UpdateStream:
         synchronized with the update stream via
         :meth:`~repro.qsim.classvector.ClassVector.transfer_element` —
         a ±1 joint-count change moves one element between adjacent count
-        classes, so the class map never needs rebuilding.  The state it
-        tracks is exactly the ``classes`` backend's initial state, kept
+        classes, so the class map never needs rebuilding.  The view is
+        the one mutable count-class state in the library: the ``classes``
+        kernel itself runs on
+        :class:`~repro.qsim.classvector.StackedClassVector` stacks built
+        from snapshots, which never write their class maps.  The view
+        tracks exactly the ``classes`` backend's initial state, kept
         current at ``O(#updates)`` bookkeeping.  This is what the serving
         layer consumes: :meth:`repro.serve.SamplerService.submit_live`
         snapshots this view (via

@@ -30,7 +30,14 @@ What the forked case adds:
   (:func:`~repro.batch.engine.unpack_group_results` — copies the
   aliased arrays), then sends a ``release`` so the worker's arena
   recycles the block.  A momentarily full arena degrades that one batch
-  to pickling (counted as ``shm_fallback_batches``), never deadlocks;
+  to pickling (counted as ``shm_fallback_batches``) instead of waiting
+  for a free block.  The pipe protocol itself can deadlock under
+  backlog: ``_Shard.send`` holds ``send_lock`` across a blocking
+  ``conn.send``, so a submit thread stuck on a full request pipe keeps
+  the lock, the collector's ``("release", block)`` send waits on it and
+  stops draining results, and the worker, blocked writing those
+  results, never reads the pipe the submit thread is waiting on
+  (ROADMAP open item 1);
 * **graceful degradation** — a dead worker's pending requests are
   re-queued to a live shard and retried once (``worker_restarts`` and
   ``requeued_batches`` count the events); a replacement worker is

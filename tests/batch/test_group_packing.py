@@ -195,6 +195,16 @@ class TestPackUnpack:
                 ref.final_state.norm(), abs=1e-12
             )
 
+    def test_only_dense_entries_carry_a_norm(self):
+        rng = as_generator(31)
+        instances = shape_group(rng, 2)
+        for backend, carries in (("classes", False), ("subspace", True)):
+            results = execute_class_batch(
+                instances, model="sequential", backend=backend
+            )
+            meta, _ = pack_group_results(results)
+            assert all(("norm" in entry) is carries for entry in meta), backend
+
     def test_dense_round_trip(self):
         rng = as_generator(29)
         instances = shape_group(rng, 3)

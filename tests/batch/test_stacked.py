@@ -1,7 +1,9 @@
-"""StackedClassVector: every batched kernel must equal per-instance ClassVector.
+"""StackedClassVector: every batched kernel must equal its one-instance stacks.
 
 The CSR plane gives each instance a segment of exactly its own width, so
-every kernel matches the per-instance :class:`ClassVector` with ``==``.
+every kernel matches a ``B = 1`` stack of the same instance — the state
+the per-instance ``classes`` backend runs on — with ``==``: rows do not
+depend on the batch an instance ran in.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from repro.batch import StackedClassVector
 from repro.batch.backends import StackedClassBackend
 from repro.config import strict_mode
-from repro.core import u_rotation_blocks
+from repro.core import create_backend, u_rotation_blocks
 from repro.errors import NotUnitaryError, ValidationError
 from repro.qsim import ClassVector
 
@@ -37,7 +39,8 @@ def stacked(maps, n_classes):
 
 @pytest.fixture
 def singles(maps, n_classes):
-    return [ClassVector.uniform(ec, c) for ec, c in zip(maps, n_classes)]
+    """Each instance as its own ``B = 1`` stack."""
+    return [StackedClassVector.uniform([ec], [c]) for ec, c in zip(maps, n_classes)]
 
 
 def concatenated_blocks(mats_per_instance):
@@ -46,15 +49,13 @@ def concatenated_blocks(mats_per_instance):
 
 def assert_matches_singles(stacked, singles):
     for b, single in enumerate(singles):
-        extracted = stacked.extract(b)
+        extracted, alone = stacked.extract(b), single.extract(0)
         np.testing.assert_array_equal(
-            extracted.class_amplitudes(), single.class_amplitudes()
+            extracted.class_amplitudes(), alone.class_amplitudes()
         )
-        np.testing.assert_array_equal(extracted.class_sizes, single.class_sizes)
-        np.testing.assert_allclose(
-            stacked.output_probabilities(b),
-            single.marginal_probabilities("i"),
-            atol=1e-12,
+        np.testing.assert_array_equal(extracted.class_sizes, alone.class_sizes)
+        np.testing.assert_array_equal(
+            stacked.output_probabilities(b), single.output_probabilities(0)
         )
 
 
@@ -71,7 +72,7 @@ class TestConstruction:
         assert_matches_singles(stacked, singles)
 
     def test_stack_roundtrips_existing_states(self, singles):
-        restacked = StackedClassVector.stack(singles)
+        restacked = StackedClassVector.stack([single.extract(0) for single in singles])
         assert_matches_singles(restacked, singles)
 
     def test_out_of_range_class_rejected(self):
@@ -133,21 +134,20 @@ class TestKernelsAgainstSingles:
             single.apply_global_phase(-1.0)
         assert_matches_singles(stacked, singles)
 
-    def test_fidelities_match_single_form(self, stacked, singles, n_classes):
-        from repro.core import fidelity_with_target_classes
+    def test_fidelities_match_single_form(self, stacked, singles, maps, n_classes):
         from repro.database import DistributedDatabase
 
         mats = [u_rotation_blocks(c - 1) for c in n_classes]
         stacked.apply_class_flag_unitary(concatenated_blocks(mats))
-        totals = [int(s.class_sizes @ np.arange(s.n_classes)) for s in singles]
+        totals = [int(ec.sum()) for ec in maps]  # class == joint count here
         fids = stacked.fidelities_with_targets(totals)
         for b, single in enumerate(singles):
             single.apply_class_flag_unitary(mats[b])
-            counts = single.element_classes  # class == joint count here
             db = DistributedDatabase.from_count_matrix(
-                counts[None, :], nu=single.n_classes - 1
+                maps[b][None, :], nu=n_classes[b] - 1
             )
-            assert fids[b] == fidelity_with_target_classes(db, single)
+            backend = create_backend("classes", db, "sequential")
+            assert fids[b] == backend.fidelity(single)
 
     def test_output_probabilities_all_matches_each_row(
         self, stacked, singles, n_classes
@@ -159,19 +159,16 @@ class TestKernelsAgainstSingles:
         for b, single in enumerate(singles):
             single.apply_class_flag_unitary(mats[b])
             assert (rows[b] == stacked.output_probabilities(b)).all()
-            np.testing.assert_allclose(
-                rows[b], single.marginal_probabilities("i"), atol=1e-12
-            )
+            assert (rows[b] == single.output_probabilities(0)).all()
 
-    def test_kernels_after_transfer_element(self, maps, singles, n_classes):
-        # Transfers change multiplicities, never segment widths, so the
-        # per-cell segment index built with the state stays valid.  The
-        # stack gets its own maps: like ClassVector, it adopts the
-        # caller's arrays and a transfer writes through them.
-        stacked = StackedClassVector.uniform([ec.copy() for ec in maps], n_classes)
+    def test_kernels_after_transfer_element(self, maps, n_classes):
+        # The live-serving path: a ClassVector view takes O(1) transfers,
+        # then each snapshot is stacked, alone or beside its siblings.
+        views = [ClassVector.uniform(ec, c) for ec, c in zip(maps, n_classes)]
         for b, element, new_class in ((0, 1, 2), (2, 4, 0), (1, 3, 1)):
-            stacked.transfer_element(b, element, new_class)
-            singles[b].transfer_element(element, new_class)
+            views[b].transfer_element(element, new_class)
+        stacked = StackedClassVector.stack(views)
+        singles = [StackedClassVector.stack([view]) for view in views]
         mats = [u_rotation_blocks(c - 1) for c in n_classes]
         phases = np.exp(1j * np.array([0.9, -0.2, 1.7]))
         stacked.apply_class_flag_unitary(concatenated_blocks(mats))
@@ -192,7 +189,7 @@ class TestKernelsAgainstSingles:
             np.array([1, 0, 1, 1, 2], dtype=np.int64),
         ]
         stacked = StackedClassVector.uniform(maps, [3, 3, 3])
-        singles = [ClassVector.uniform(ec, 3) for ec in maps]
+        singles = [StackedClassVector.uniform([ec], [3]) for ec in maps]
         mats = u_rotation_blocks(2)
         phases = np.exp(1j * np.array([np.pi, 0.4, -0.9]))
         stacked.apply_class_flag_unitary(concatenated_blocks([mats] * 3))
@@ -202,7 +199,7 @@ class TestKernelsAgainstSingles:
             single.apply_pi_projector_phase(complex(p))
         assert_matches_singles(stacked, singles)
         np.testing.assert_array_equal(
-            stacked.norms(), [single.norm() for single in singles]
+            stacked.norms(), [single.norms()[0] for single in singles]
         )
 
 
@@ -267,15 +264,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match="1-D"):
             StackedClassVector.uniform([np.zeros((2, 2), dtype=np.int64)], [1])
 
-    @pytest.mark.parametrize(
-        "b,element,new_class",
-        [(3, 0, 0), (1, 4, 0), (1, 0, 4)],
-        ids=["instance", "element", "class"],
-    )
-    def test_transfer_element_range_checked(self, stacked, b, element, new_class):
-        with pytest.raises(ValidationError, match="out of range"):
-            stacked.transfer_element(b, element, new_class)
-
     def test_wrong_values_shape_rejected(self):
         with pytest.raises(ValidationError, match="values"):
             StackedClassVector(
@@ -284,7 +272,7 @@ class TestValidation:
             )
 
     def test_rotation_blocks_are_unpadded_and_read_only(self):
-        from repro.batch.backends import cached_u_blocks
+        from repro.core.distributing import cached_u_blocks
 
         forward, adjoint = cached_u_blocks(5)
         assert forward.shape == adjoint.shape == (6, 2, 2)

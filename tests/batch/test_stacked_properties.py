@@ -1,10 +1,11 @@
 """Property tests: StackedClassVector on degenerate and mixed batches.
 
 ``stack``/``extract`` (through the trusted ``ClassVector.from_parts``
-path), the CSR ``from_parts`` round trip, ``transfer_element`` and the
-``π``-projector reduction behave on the edges the randomized grids
-rarely hit — single-instance stacks, ν = 0 instances (one class) next to
-wide ones, and ``N = 1`` universes.
+path), the CSR ``from_parts`` round trip, ``ClassVector.transfer_element``
+and the ``π``-projector reduction behave on the edges the randomized
+grids rarely hit — single-instance stacks, ν = 0 instances (one class)
+next to wide ones, and ``N = 1`` universes.  Per-instance references are
+``B = 1`` stacks, the state the per-instance ``classes`` backend runs on.
 """
 
 import numpy as np
@@ -139,9 +140,14 @@ class TestFromPartsContract:
     @settings(max_examples=30, deadline=None)
     def test_transfer_element_roundtrip_restores_state(self, seed):
         rng = as_generator(seed)
-        single = build_instance(rng, 8, 4)
-        reference = single.copy()
-        state = single.copy()
+        reference = build_instance(rng, 8, 4)
+        # from_parts shares the class structure: copy-on-write keeps the
+        # reference untouched while the state round-trips.
+        state = ClassVector.from_parts(
+            reference.element_classes,
+            reference.class_sizes,
+            reference.class_amplitudes(),
+        )
         element = int(rng.integers(0, 8))
         original = int(state.element_classes[element])
         target = (original + 1) % 4
@@ -165,7 +171,8 @@ class TestMixedWidths:
         assert stacked.offsets.tolist() == [0, 1, 6]
         stacked.apply_global_phase(-1.0)
         stacked.apply_phase_slice("w", 0, np.exp(0.4j))
-        for b, single in enumerate((narrow, wide)):
+        for b, instance in enumerate((narrow, wide)):
+            single = StackedClassVector.stack([instance])
             single.apply_global_phase(-1.0)
             single.apply_phase_slice("w", 0, np.exp(0.4j))
             # Not ==: NumPy multiplies a one-element flag column in place
@@ -174,7 +181,7 @@ class TestMixedWidths:
             # build ν = 0 instances.
             np.testing.assert_allclose(
                 stacked.extract(b).class_amplitudes(),
-                single.class_amplitudes(),
+                single.values(),
                 atol=1e-12,
             )
 
@@ -204,28 +211,30 @@ class TestCsrPlane:
     @given(batches())
     @settings(max_examples=60, deadline=None)
     def test_transfer_element_conserves_counts(self, batch):
-        """Moving elements between classes never changes any instance's
-        total multiplicity, and never touches sibling segments."""
+        """Moving elements between classes on the live views never changes
+        any instance's total multiplicity, and the stack of the views
+        carries each view's multiplicities in its own segment."""
         shapes, seed = batch
         rng = as_generator(seed)
-        maps = [build_instance(rng, n, c).element_classes for n, c in shapes]
-        state = StackedClassVector.uniform(maps, [c for _, c in shapes])
-        offsets = state.offsets
-        totals = [
-            state.class_sizes[offsets[b]:offsets[b + 1]].sum()
-            for b in range(state.batch_size)
+        views = [
+            ClassVector.uniform(build_instance(rng, n, c).element_classes, c)
+            for n, c in shapes
         ]
+        totals = [view.class_sizes.sum() for view in views]
         for _ in range(8):
-            b = int(rng.integers(state.batch_size))
+            b = int(rng.integers(len(views)))
             n, c = shapes[b]
-            state.transfer_element(b, int(rng.integers(n)), int(rng.integers(c)))
-        for b in range(state.batch_size):
+            views[b].transfer_element(int(rng.integers(n)), int(rng.integers(c)))
+        state = StackedClassVector.stack(views)
+        offsets = state.offsets
+        for b, view in enumerate(views):
             seg = state.class_sizes[offsets[b]:offsets[b + 1]]
             assert seg.sum() == totals[b]
             assert (seg >= 0).all()
+            assert (seg == view.class_sizes).all()
             # the class map and the multiplicity plane stay consistent
             rebuilt = np.bincount(
-                state._element_classes[b], minlength=shapes[b][1]
+                view.element_classes, minlength=shapes[b][1]
             ).astype(np.float64)
             assert (seg == rebuilt).all()
 
@@ -233,18 +242,18 @@ class TestCsrPlane:
     @settings(max_examples=40, deadline=None)
     def test_pi_projector_matches_per_instance(self, batch):
         """The π-projector phase — the one cross-cell reduction in the
-        loop — agrees bit for bit with each instance's own ClassVector,
-        whatever widths share the plane."""
+        loop — agrees bit for bit with each instance's own ``B = 1``
+        stack, whatever widths share the plane."""
         shapes, seed = batch
         rng = as_generator(seed)
         singles = [build_instance(rng, n, c) for n, c in shapes]
         state = StackedClassVector.stack(singles)
         phases = np.exp(1j * rng.normal(size=len(shapes)))
         state.apply_pi_projector_phase(phases)
-        for b, single in enumerate(singles):
+        for b, instance in enumerate(singles):
+            single = StackedClassVector.stack([instance])
             single.apply_pi_projector_phase(complex(phases[b]))
-            assert (state.extract(b).class_amplitudes()
-                    == single.class_amplitudes()).all()
+            assert (state.extract(b).class_amplitudes() == single.values()).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @given(

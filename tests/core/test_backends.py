@@ -12,19 +12,24 @@ import pytest
 
 from repro.core import (
     DEFAULT_BACKENDS,
+    ClassDistributingOperator,
     ParallelSampler,
     SamplerBackend,
     SequentialSampler,
     backend_names,
     create_backend,
+    execute_sampling,
     register_backend,
     resolve_backend,
     sample_parallel,
     sample_sequential,
 )
 from repro.core.backends import _REGISTRY
+from repro.core.distributing import cached_u_blocks
 from repro.database import DistributedDatabase, partition, zipf_dataset
 from repro.errors import SimulationLimitError, ValidationError
+from repro.qsim import ClassVector
+from repro.qsim.classvector import StackedClassVector
 from repro.utils.rng import as_generator
 
 
@@ -239,7 +244,52 @@ class TestMillionElementScale:
 
     def test_state_memory_is_nu_not_n(self, big_db):
         state = SequentialSampler(big_db, backend="classes").initial_state()
-        assert state.class_amplitudes().size == (big_db.nu + 1) * 2
+        assert state.batch_size == 1
+        assert state.values().size == (big_db.nu + 1) * 2
+
+
+class TestOneClassKernel:
+    """Per-instance ``classes`` runs on the stacked engine's kernel."""
+
+    def _run(self, db, backend, model="sequential"):
+        sampler = (SequentialSampler if model == "sequential" else ParallelSampler)(
+            db, backend=backend
+        )
+        states = []
+        result = execute_sampling(
+            db, model, backend, sampler.plan(), sampler.schedule(),
+            on_step=lambda _label, state: states.append(state),
+        )
+        return result, states
+
+    @pytest.mark.parametrize("model", ["sequential", "parallel"])
+    def test_steps_see_a_one_instance_stack_and_the_result_its_extract(
+        self, small_db, model
+    ):
+        result, states = self._run(small_db, "classes", model)
+        assert all(
+            isinstance(s, StackedClassVector) and s.batch_size == 1 for s in states
+        )
+        assert isinstance(result.final_state, ClassVector)
+        assert (result.final_state.class_amplitudes() == states[-1].values()).all()
+        assert (
+            result.output_probabilities == states[-1].output_probabilities(0)
+        ).all()
+
+    def test_dense_backends_store_the_run_state(self, small_db):
+        result, states = self._run(small_db, "subspace")
+        assert result.final_state is states[-1]
+
+    def test_per_instance_d_applies_the_cached_blocks(self, small_db):
+        forward, adjoint = cached_u_blocks(small_db.nu)
+        state = StackedClassVector.uniform([small_db.joint_counts], [small_db.nu + 1])
+        expected = StackedClassVector.uniform(
+            [small_db.joint_counts], [small_db.nu + 1]
+        )
+        ClassDistributingOperator(small_db).apply(state, adjoint=True)
+        expected.apply_class_flag_unitary(adjoint)
+        assert (state.values() == expected.values()).all()
+        assert cached_u_blocks(small_db.nu)[0] is forward
 
 
 class TestCertification:

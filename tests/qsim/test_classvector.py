@@ -1,4 +1,10 @@
-"""The O(ν)-memory count-class compressed state (``classes`` substrate)."""
+"""The O(ν)-memory count-class states (``classes`` substrate).
+
+The kernels run on a ``B = 1`` :class:`StackedClassVector` — the state
+the per-instance ``classes`` backend runs on — and are checked against
+the dense kernels; :class:`ClassVector` is the container and live view
+a stack extracts to.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from repro.config import strict_mode
 from repro.core import u_rotation_blocks
 from repro.errors import NotUnitaryError, ValidationError
 from repro.qsim import ClassVector, StateVector
+from repro.qsim.classvector import StackedClassVector
 
 
 @pytest.fixture
@@ -18,6 +25,12 @@ def classes():
 @pytest.fixture
 def state(classes):
     return ClassVector.uniform(classes, 4)
+
+
+@pytest.fixture
+def stacked(classes):
+    """The same instance as a one-instance stack (the kernel's state)."""
+    return StackedClassVector.uniform([classes], [4])
 
 
 class TestConstruction:
@@ -41,6 +54,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ClassVector(np.array([0, 5]), n_classes=4)
 
+    def test_negative_class_rejected(self):
+        with pytest.raises(ValidationError, match="must lie in"):
+            ClassVector(np.array([0, -1]), n_classes=4)
+
     def test_bad_amp_shape_rejected(self, classes):
         with pytest.raises(ValidationError):
             ClassVector(classes, 4, amps=np.zeros((4, 3)))
@@ -53,41 +70,44 @@ class TestConstruction:
 class TestKernelsAgainstDense:
     """Every class-space kernel must equal the dense kernel elementwise."""
 
-    def _dense_twin(self, state):
-        return state.to_statevector()
+    def _dense_twin(self, stacked):
+        return stacked.extract(0).to_statevector()
 
-    def test_class_flag_unitary_is_dense_controlled_rotation(self, state, classes):
+    def _expanded(self, stacked):
+        return stacked.extract(0).to_statevector().as_array()
+
+    def test_class_flag_unitary_is_dense_controlled_rotation(self, stacked, classes):
         blocks = u_rotation_blocks(3)
-        dense = self._dense_twin(state)
+        dense = self._dense_twin(stacked)
         # Dense equivalent: per-element blocks selected by the class map.
         dense.apply_controlled_qubit_unitary("i", "w", blocks[classes])
-        state.apply_class_flag_unitary(blocks)
-        np.testing.assert_allclose(state.to_statevector().as_array(), dense.as_array(), atol=1e-12)
+        stacked.apply_class_flag_unitary(blocks)
+        np.testing.assert_allclose(self._expanded(stacked), dense.as_array(), atol=1e-12)
 
-    def test_phase_slice_matches_dense(self, state):
-        dense = self._dense_twin(state)
+    def test_phase_slice_matches_dense(self, stacked):
+        dense = self._dense_twin(stacked)
         phase = np.exp(0.7j)
         dense.apply_phase_slice("w", 0, phase)
-        state.apply_phase_slice("w", 0, phase)
-        np.testing.assert_allclose(state.to_statevector().as_array(), dense.as_array(), atol=1e-12)
+        stacked.apply_phase_slice("w", 0, phase)
+        np.testing.assert_allclose(self._expanded(stacked), dense.as_array(), atol=1e-12)
 
-    def test_pi_projector_phase_matches_dense(self, state):
+    def test_pi_projector_phase_matches_dense(self, stacked):
         blocks = u_rotation_blocks(3)
-        state.apply_class_flag_unitary(blocks)  # leave the uniform state first
-        dense = self._dense_twin(state)
+        stacked.apply_class_flag_unitary(blocks)  # leave the uniform state first
+        dense = self._dense_twin(stacked)
         phase = np.exp(1.1j)
         dense.apply_pi_projector_phase(phase)
-        state.apply_pi_projector_phase(phase)
-        np.testing.assert_allclose(state.to_statevector().as_array(), dense.as_array(), atol=1e-12)
+        stacked.apply_pi_projector_phase(phase)
+        np.testing.assert_allclose(self._expanded(stacked), dense.as_array(), atol=1e-12)
 
-    def test_global_phase(self, state):
-        state.apply_global_phase(-1.0)
-        assert state.class_amplitudes()[0, 0] == pytest.approx(-1.0 / np.sqrt(8))
+    def test_global_phase(self, stacked):
+        stacked.apply_global_phase(-1.0)
+        assert stacked.values()[0, 0] == pytest.approx(-1.0 / np.sqrt(8))
 
-    def test_marginals_match_dense(self, state):
-        blocks = u_rotation_blocks(3)
-        state.apply_class_flag_unitary(blocks)
-        dense = self._dense_twin(state)
+    def test_marginals_match_dense(self, stacked):
+        stacked.apply_class_flag_unitary(u_rotation_blocks(3))
+        state = stacked.extract(0)
+        dense = state.to_statevector()
         for reg in ("i", "w"):
             np.testing.assert_allclose(
                 state.marginal_probabilities(reg),
@@ -95,10 +115,10 @@ class TestKernelsAgainstDense:
                 atol=1e-12,
             )
 
-    def test_probability_of_matches_dense(self, state):
-        blocks = u_rotation_blocks(3)
-        state.apply_class_flag_unitary(blocks)
-        dense = self._dense_twin(state)
+    def test_probability_of_matches_dense(self, stacked):
+        stacked.apply_class_flag_unitary(u_rotation_blocks(3))
+        state = stacked.extract(0)
+        dense = state.to_statevector()
         for assignment in ({"w": 0}, {"w": 1}, {"i": 5}, {"i": 7, "w": 1}):
             assert state.probability_of(assignment) == pytest.approx(
                 dense.probability_of(assignment), abs=1e-12
@@ -106,39 +126,31 @@ class TestKernelsAgainstDense:
 
 
 class TestUnitarityAndGuards:
-    def test_rotation_preserves_norm(self, state):
-        state.apply_class_flag_unitary(u_rotation_blocks(3))
-        assert state.norm() == pytest.approx(1.0)
+    def test_rotation_preserves_norm(self, stacked):
+        stacked.apply_class_flag_unitary(u_rotation_blocks(3))
+        assert stacked.norms()[0] == pytest.approx(1.0)
+        assert stacked.extract(0).norm() == pytest.approx(1.0)
 
-    def test_strict_mode_traps_norm_drift(self, state):
+    def test_strict_mode_traps_norm_drift(self, stacked):
         bad = np.tile(np.eye(2, dtype=np.complex128) * 2.0, (4, 1, 1))
         with strict_mode():
             with pytest.raises(NotUnitaryError):
-                state.apply_class_flag_unitary(bad)
+                stacked.apply_class_flag_unitary(bad)
 
-    def test_nonunit_phase_rejected(self, state):
+    def test_nonunit_phase_rejected(self, stacked):
         with pytest.raises(NotUnitaryError):
-            state.apply_global_phase(0.5)
+            stacked.apply_global_phase(0.5)
         with pytest.raises(NotUnitaryError):
-            state.apply_phase_slice("w", 0, 2.0)
+            stacked.apply_phase_slice("w", 0, 2.0)
 
-    def test_element_phase_slice_rejected(self, state):
+    def test_element_phase_slice_rejected(self, stacked):
         with pytest.raises(ValidationError):
-            state.apply_phase_slice("i", 3, -1.0)
+            stacked.apply_phase_slice("i", 3, -1.0)
 
-    def test_overlap_requires_same_class_map(self, state):
-        other = ClassVector.uniform(np.zeros(8, dtype=np.int64), 4)
-        with pytest.raises(ValidationError):
-            state.overlap(other)
-
-    def test_copy_is_independent(self, state):
-        twin = state.copy()
-        twin.apply_global_phase(-1.0)
-        assert state.class_amplitudes()[0, 0] != twin.class_amplitudes()[0, 0]
-
-    def test_overlap_and_fidelity(self, state):
-        assert state.overlap(state) == pytest.approx(1.0)
-        assert state.fidelity_pure(state) == pytest.approx(1.0)
+    def test_extract_is_independent(self, stacked):
+        extracted = stacked.extract(0)
+        stacked.apply_global_phase(-1.0)
+        assert stacked.values()[0, 0] != extracted.class_amplitudes()[0, 0]
 
 
 class TestDenseExpansion:
@@ -169,25 +181,13 @@ class TestTransferElement:
         state.transfer_element(3, 1)
         np.testing.assert_array_equal(state.class_sizes, before)
 
-    def test_refreshes_expected_norm_for_strict_checks(self, classes):
-        state = ClassVector.uniform(classes, 4)
-        state.apply_class_flag_unitary(u_rotation_blocks(3))  # class-dependent amps
+    def test_stack_after_transfer_passes_strict_checks(self, stacked):
+        stacked.apply_class_flag_unitary(u_rotation_blocks(3))  # class-dependent amps
+        state = stacked.extract(0)
         state.transfer_element(0, 3)  # norm genuinely changes here
+        restacked = StackedClassVector.stack([state])
         with strict_mode():
-            state.apply_global_phase(-1.0)  # must not trip the drift check
-
-    def test_copy_on_write_isolates_copies(self, state):
-        twin = state.copy()
-        twin.transfer_element(0, 3)
-        np.testing.assert_array_equal(state.class_sizes, [3, 2, 2, 1])
-        np.testing.assert_array_equal(twin.class_sizes, [2, 2, 2, 2])
-        assert state.element_classes[0] == 0
-        assert twin.element_classes[0] == 3
-
-    def test_original_mutation_after_copy_is_isolated_too(self, state):
-        twin = state.copy()
-        state.transfer_element(0, 3)
-        np.testing.assert_array_equal(twin.class_sizes, [3, 2, 2, 1])
+            restacked.apply_global_phase(-1.0)  # must not trip the drift check
 
     def test_out_of_range_element_rejected(self, state):
         with pytest.raises(ValidationError):
@@ -225,3 +225,22 @@ class TestFromParts:
         assert classes[0] == 0
         assert b.element_classes[0] == 0
         np.testing.assert_array_equal(b.class_sizes, [3, 2, 2, 1])
+
+
+class TestOneKernel:
+    """The kernels live on the stack; ClassVector is container and view."""
+
+    def test_class_vector_applies_no_operators(self):
+        assert not [name for name in vars(ClassVector) if name.startswith("apply_")]
+        assert "_expected_norm" not in ClassVector.__slots__
+
+    def test_stack_has_one_home(self):
+        import importlib
+
+        import repro.batch
+        import repro.core
+
+        assert repro.batch.StackedClassVector is StackedClassVector
+        assert not hasattr(repro.core, "fidelity_with_target_classes")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.batch.stacked")

@@ -2,8 +2,11 @@
 
 scipy backs the analysis helpers (``chi_square_test``, ``certify_run``,
 ``fidelity_mixed_mixed``) and networkx backs only ``star_graph``; each
-loads inside the one function that uses it.  The checks run in a fresh
-interpreter, because this test process has long since imported both.
+loads inside the one function that uses it.  Likewise :mod:`repro.core`
+never loads the layers above it: the count-class kernel it runs on
+lives in :mod:`repro.qsim.classvector`, not in :mod:`repro.batch`.  The
+checks run in a fresh interpreter, because this test process has long
+since imported everything.
 """
 
 from __future__ import annotations
@@ -61,6 +64,29 @@ class _Uninstalled:
 sys.meta_path.insert(0, _Uninstalled())
 """
 
+#: Both core samplers on ``classes`` and a live class view of an update
+#: stream, with no front door; print the upper-layer modules loaded.
+CORE_ONLY = """
+import json, sys
+
+from repro.core import ParallelSampler, SequentialSampler
+from repro.database import random_update_stream, round_robin, uniform_dataset
+
+db = round_robin(uniform_dataset(64, 40, rng=0), n_machines=2)
+assert SequentialSampler(db, backend="classes").run().exact
+assert ParallelSampler(db, backend="classes").run().exact
+db = db.with_nu(db.nu + 1)
+stream = random_update_stream(db, 8, rng=1)
+view = stream.class_state()
+assert stream.apply_next(8) == 8
+assert (view.element_classes == db.joint_counts).all()
+upper = sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] in (["repro", "batch"], ["repro", "serve"], ["repro", "api"])
+)
+print("UPPER " + json.dumps(upper))
+"""
+
 #: ``python -m repro sample --universe 32 --machines 3``, in-process.
 CLI_SAMPLE = """
 import runpy
@@ -82,7 +108,7 @@ else:
 """
 
 
-def _run(script: str) -> tuple[list[str], str]:
+def _run(script: str, tag: str = "HEAVY") -> tuple[list[str], str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
@@ -95,9 +121,9 @@ def _run(script: str) -> tuple[list[str], str]:
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr
-    report = [line for line in proc.stdout.splitlines() if line.startswith("HEAVY ")]
+    report = [line for line in proc.stdout.splitlines() if line.startswith(tag + " ")]
     assert len(report) == 1, proc.stdout
-    return json.loads(report[0][len("HEAVY "):]), proc.stdout
+    return json.loads(report[0][len(tag) + 1:]), proc.stdout
 
 
 def test_request_path_loads_no_scipy_or_networkx():
@@ -110,3 +136,8 @@ def test_request_path_runs_with_scipy_and_networkx_uninstalled():
     assert heavy == []
     exact = [line for line in out.splitlines() if line.split("|")[0].strip() == "exact"]
     assert len(exact) == 1 and exact[0].split("|")[1].strip() == "True", out
+
+
+def test_core_samplers_load_no_upper_layer():
+    upper, _ = _run(CORE_ONLY, tag="UPPER")
+    assert upper == []
