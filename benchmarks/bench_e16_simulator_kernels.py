@@ -2,7 +2,9 @@
 
 Not a paper claim — this is the profiling discipline the HPC guides ask
 for: know where simulation time goes, keep the hot kernels vectorized.
-Each kernel is timed on a sampling-sized state (N = 4096, ν = 7).
+Each dense kernel is timed on a sampling-sized state (N = 4096, ν = 7);
+E16e times the ``classes`` iterate, fused and as five kernels, on B = 1
+and B = 64 zipf stacks and checks the two agree with ``==``.
 """
 
 import numpy as np
@@ -63,3 +65,56 @@ def test_e16d_full_sampler_medium(benchmark):
     result = sample_sequential(db, backend="subspace")
     assert result.exact
     benchmark(lambda: sample_sequential(db, backend="subspace"))
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_e16e_class_iterate_fused_vs_five_kernels(report, batch):
+    """The ``classes`` Grover iterate: one fused call vs the five kernels.
+
+    Zipf stacks (N alternating 512/4096, M = 1000, n = 4) after ``F`` and
+    the initial ``D``; both forms run the same iterates from the same
+    plane, which must come out ``==``.  Median wall time per iterate over
+    alternating repeats, so a drifting machine slows both alike.
+    """
+    import time
+
+    from repro.analysis.sweep import InstanceSpec
+    from repro.batch import ClassInstance
+    from repro.batch.backends import StackedBackend, create_stacked_backend
+    from repro.database.workloads import WorkloadSpec
+
+    instances = [
+        ClassInstance.from_spec(
+            InstanceSpec(WorkloadSpec.of("zipf", universe=(512, 4096)[b % 2], total=1000),
+                         n_machines=4),
+            seed=b,
+        )
+        for b in range(batch)
+    ]
+    backend = create_stacked_backend("classes", instances, "sequential")
+    fused = backend.uniform_state()
+    backend.apply_d(fused)
+    five = backend.uniform_state()
+    backend.apply_d(five)
+    reflect = np.exp(1j * np.pi)
+    iterates = 20
+    times = {"fused": [], "five_kernels": []}
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(iterates):
+            backend.apply_q(fused, reflect, reflect)
+        times["fused"].append((time.perf_counter() - start) / iterates)
+        start = time.perf_counter()
+        for _ in range(iterates):
+            StackedBackend.apply_q(backend, five, reflect, reflect)
+        times["five_kernels"].append((time.perf_counter() - start) / iterates)
+    assert (fused.values() == five.values()).all()
+    medians = {form: float(np.median(t)) * 1e6 for form, t in times.items()}
+    report(
+        f"E16e-B{batch}",
+        "fused classes iterate == five-kernel iterate",
+        ["B", "cells", "fused µs/iterate", "five kernels µs/iterate"],
+        [[batch, fused.values().shape[0], round(medians["fused"], 2),
+          round(medians["five_kernels"], 2)]],
+        payload={"us_per_iterate": medians},
+    )

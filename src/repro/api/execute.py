@@ -312,11 +312,10 @@ def _materialize(res: ResolvedRequest, seed: int | None) -> ClassInstance:
         return ClassInstance.from_class_state(
             stream.class_state(), db.n_machines, capacities=db.capacities
         )
-    db = request.database
-    if db is None:
+    if request.database is None:
         assert request.spec is not None
-        db = request.spec.build(rng=seed)
-    return ClassInstance.from_db(request.masked(db))
+        return ClassInstance.from_spec(request.spec, seed, request.fault_mask)
+    return ClassInstance.from_db(request.masked(request.database))
 
 
 def _class_result(
@@ -449,12 +448,13 @@ def _fanout_worker(
         list | None,
     ],
 ) -> tuple[list[dict[str, object]], list[dict]]:
-    """Build one chunk's databases, execute them stacked, return audit rows.
+    """Build one chunk's instances, execute them stacked, return audit rows.
 
     Module-level (single-argument) so the process pool can pickle it; the
-    heavyweight objects — databases, states, results — never cross the
+    heavyweight objects — instances, states, results — never cross the
     process boundary, only the plain-scalar rows and fault masks do.
-    Masks apply worker-side, after the build, exactly as in-process.
+    Specs build straight into class coordinates with their masks
+    (:meth:`ClassInstance.from_spec`), exactly as in-process.
 
     ``traces`` (the payload's last element) carries one parent
     :class:`~repro.obs.trace.SpanContext` per item when the dispatcher
@@ -465,12 +465,9 @@ def _fanout_worker(
     model, items, include_probabilities, skip_zero_capacity, backend, traces = payload
     from contextlib import nullcontext
 
-    from ..batch.engine import execute_sampling_batch
-    from ..database.fault import apply_fault_mask
-
     local = Tracer() if traces is not None else None
     parents = traces if traces is not None else [None] * len(items)
-    dbs = []
+    instances = []
     for (spec, seed, label, mask), parent in zip(items, parents):
         cm = (
             local.span("build", parent=parent, label=label)
@@ -478,10 +475,7 @@ def _fanout_worker(
             else nullcontext()
         )
         with cm:
-            db = spec.build(rng=seed)  # type: ignore[union-attr]
-            if mask is not None:
-                db = apply_fault_mask(db, mask)
-        dbs.append(db)
+            instances.append(ClassInstance.from_spec(spec, seed, mask))
     execute_cm = (
         local.span(
             "execute",
@@ -494,27 +488,20 @@ def _fanout_worker(
         else nullcontext()
     )
     with execute_cm:
-        samplings = execute_sampling_batch(
-            dbs,
+        samplings = execute_class_batch(
+            instances,
             model=model,
             include_probabilities=include_probabilities,
             skip_zero_capacity=skip_zero_capacity,
             backend=backend,
         )
-    rows = []
-    for (_, _, label, _), db, sampling in zip(items, dbs, samplings):
-        rows.append(
-            unified_row(
-                label,
-                db.n_machines,
-                db.universe,
-                db.total_count,
-                db.nu,
-                sampling,
-                "fanout",
-                0.0,
-            )
+    rows = [
+        unified_row(
+            label, inst.n_machines, inst.universe, inst.total, inst.nu,
+            sampling, "fanout", 0.0,
         )
+        for (_, _, label, _), inst, sampling in zip(items, instances, samplings)
+    ]
     return rows, (local.drain() if local is not None else [])
 
 

@@ -57,9 +57,9 @@ from typing import ClassVar, Protocol, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..core.distributing import cached_u_blocks
+from ..core.distributing import cached_u_blocks, cached_u_rotation
 from ..errors import ValidationError
-from ..qsim.classvector import ClassVector, StackedClassVector
+from ..qsim.classvector import ClassVector, FlagRotation, StackedClassVector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import ClassInstance
@@ -153,6 +153,25 @@ class StackedBackend(abc.ABC):
     def apply_d(self, state: StackedState, adjoint: bool = False) -> StackedState:
         """Apply ``D`` (or ``D†``) to all ``B`` instances at once."""
 
+    def apply_q(
+        self,
+        state: StackedState,
+        varphi: complex | np.ndarray,
+        phi: complex | np.ndarray,
+    ) -> StackedState:
+        """One iterate ``Q(φ, ϕ) = −D S_π(ϕ) D† S_χ(φ)`` on all ``B`` instances.
+
+        The default composes the primitives in the order of
+        :func:`repro.core.engine.apply_q`; the dense references run it.
+        ``classes`` overrides it with its fused kernel.
+        """
+        state.apply_phase_slice("w", 0, varphi)
+        self.apply_d(state, adjoint=True)
+        state.apply_pi_projector_phase(phi)
+        self.apply_d(state)
+        state.apply_global_phase(-1.0)
+        return state
+
     @abc.abstractmethod
     def fidelities(self, state: StackedState) -> np.ndarray:
         """Per-instance ``|⟨ψ_b, 0|state_b⟩|²`` against the Eq. (4) targets."""
@@ -241,8 +260,10 @@ def resolve_stacked_name(name: str, model: str) -> str:
 class StackedClassBackend(StackedBackend):
     """``B`` count-class states CSR-packed into one plane (both models).
 
-    ``O(Σν_b)`` memory independent of ``N``, every iterate a constant
-    number of kernels.  Each segment reduces over exactly its own cells,
+    ``O(Σν_b)`` memory independent of ``N``, every iterate one fused
+    :meth:`~repro.qsim.classvector.StackedClassVector.apply_q` call on the
+    real planes of :func:`~repro.core.distributing.cached_u_rotation`.
+    Each segment reduces over exactly its own cells,
     so a row does not depend on the batch it ran in; the per-instance
     ``classes`` backend runs the same kernel on a ``B = 1`` stack, so
     stacked and per-instance rows are bit-identical (regression-tested
@@ -263,12 +284,25 @@ class StackedClassBackend(StackedBackend):
     def apply_d(self, state: StackedClassVector, adjoint: bool = False) -> StackedClassVector:
         if not hasattr(self, "_d_blocks"):
             pairs = [cached_u_blocks(inst.nu) for inst in self._instances]
-            self._d_blocks = (
+            self._d_blocks = pairs[0] if len(pairs) == 1 else (
                 np.concatenate([fwd for fwd, _ in pairs], axis=0),
                 np.concatenate([adj for _, adj in pairs], axis=0),
             )
         forward, adj = self._d_blocks
         return state.apply_class_flag_unitary(adj if adjoint else forward)
+
+    def apply_q(
+        self,
+        state: StackedClassVector,
+        varphi: complex | np.ndarray,
+        phi: complex | np.ndarray,
+    ) -> StackedClassVector:
+        if not hasattr(self, "_rotation"):
+            parts = [cached_u_rotation(inst.nu) for inst in self._instances]
+            self._rotation = (
+                parts[0] if len(parts) == 1 else FlagRotation.concatenate(parts)
+            )
+        return state.apply_q(self._rotation, varphi, phi)
 
     def fidelities(self, state: StackedClassVector) -> np.ndarray:
         return state.fidelities_with_targets([inst.total for inst in self._instances])

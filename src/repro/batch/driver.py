@@ -3,9 +3,10 @@
 :func:`run_batched` is the traffic-facing entry point of the batch
 subsystem: it takes an iterable of
 :class:`~repro.analysis.sweep.InstanceSpec` (the same spec objects the
-sweep harness uses), materializes each with a deterministic child seed,
-packs instances into fixed-size batches for
-:func:`~repro.batch.engine.execute_sampling_batch`, optionally fans the
+sweep harness uses), builds each with a deterministic child seed straight
+into class coordinates (:meth:`~repro.batch.engine.ClassInstance.from_spec`
+— no database), packs instances into fixed-size batches for
+:func:`~repro.batch.engine.execute_class_batch`, optionally fans the
 batches across a :class:`~concurrent.futures.ProcessPoolExecutor`, and
 streams one row per instance into a
 :class:`~repro.analysis.sweep.SweepResult` — ready for
@@ -43,19 +44,19 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..analysis.sweep import InstanceSpec, SweepResult
 from ..core.result import SamplingResult
-from ..database.distributed import DistributedDatabase
 from ..utils.pool import process_map_iter
 from ..utils.rng import as_generator, spawn_seed
 from ..utils.validation import require_pos_int
-from .engine import execute_sampling_batch
+from .engine import ClassInstance, execute_class_batch
 
 #: Default instances per stacked tensor.  Large enough to amortize the
 #: per-batch Python overhead, small enough that mixed-shape groups still
 #: fill (see bench_e23 for the measured plateau).
 DEFAULT_BATCH_SIZE = 256
 
-#: A row builder: ``(spec, db, result) → column mapping``.
-RowFn = Callable[[InstanceSpec, DistributedDatabase, SamplingResult], Mapping[str, object]]
+#: A row builder: ``(spec, result) → column mapping``.  The instance's
+#: sizes are on ``result.public_parameters``.
+RowFn = Callable[[InstanceSpec, SamplingResult], Mapping[str, object]]
 
 
 def audit_row(
@@ -87,17 +88,16 @@ def audit_row(
     }
 
 
-def default_row(
-    spec: InstanceSpec, db: DistributedDatabase, result: SamplingResult
-) -> dict[str, object]:
+def default_row(spec: InstanceSpec, result: SamplingResult) -> dict[str, object]:
     """The standard per-instance row: sweep columns + run audit fields.
 
     Matches ``run_sweep``'s injected columns (``label``/``n``/``N``/
     ``M``/``nu``/``backend``) so batched rows drop into the same report
-    tables.
+    tables; the sizes come from the result's public parameters.
     """
+    params = result.public_parameters
     return audit_row(
-        spec.label(), db.n_machines, db.universe, db.total_count, db.nu, result
+        spec.label(), params["n"], params["N"], params["M"], params["nu"], result
     )
 
 
@@ -136,24 +136,22 @@ def iter_seeded_batches(
 def _run_batch(
     payload: tuple[str, list[tuple[InstanceSpec, int]], RowFn, bool, bool, str],
 ) -> list[dict[str, object]]:
-    """Worker: materialize one batch, execute it stacked, build its rows.
+    """Worker: build one batch's instances, execute them stacked, build its rows.
 
     Module-level (and single-argument) so :func:`process_map` can ship it
-    to worker processes.
+    to worker processes.  Each spec builds straight into class
+    coordinates (:meth:`ClassInstance.from_spec`, the same seeded draws
+    as ``spec.build``).
     """
     model, batch, row_fn, include_probabilities, skip_zero_capacity, backend = payload
-    dbs = [spec.build(rng=seed) for spec, seed in batch]
-    results = execute_sampling_batch(
-        dbs,
+    results = execute_class_batch(
+        [ClassInstance.from_spec(spec, seed) for spec, seed in batch],
         model=model,
         include_probabilities=include_probabilities,
         skip_zero_capacity=skip_zero_capacity,
         backend=backend,
     )
-    return [
-        dict(row_fn(spec, db, result))
-        for (spec, _), db, result in zip(batch, dbs, results)
-    ]
+    return [dict(row_fn(spec, result)) for (spec, _), result in zip(batch, results)]
 
 
 def run_batched(

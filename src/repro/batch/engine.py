@@ -16,12 +16,13 @@ substrate.
 
 Exactness is not traded for throughput:
 
-* every instance keeps its **own honest query ledger** — the Lemma 4.2
+* every instance carries an **honest query ledger** — the Lemma 4.2
   sandwich (sequential model) or Lemma 4.4's 4 rounds (parallel model)
   are charged per ``D`` application exactly as
   :class:`~repro.core.distributing.ClassDistributingOperator` does,
   recorded in bulk (the ledger is a counter, so block-recording is
-  observationally identical);
+  observationally identical) on a frozen ledger shared by every result
+  of the same shape;
 * instances in one group may differ in ``N``, ``ν``, ``n`` and final
   partial-iterate angles — each class segment has its instance's own
   width, and phases are per-instance arrays;
@@ -35,12 +36,14 @@ Exactness is not traded for throughput:
   :class:`~repro.core.backends.SubspaceBackend` rows bit for bit, and
   the dense references check the kernel's physics at 1e-12.
 
-Two batch-level amortizations do the heavy lifting beyond tensor
+Three batch-level amortizations do the heavy lifting beyond tensor
 stacking: zero-error plans are memoized by overlap value (a sweep's
 instances usually share public parameters, so :func:`solve_plan`'s
 root-finding runs once per distinct ``a = M/(νN)``), and oblivious
-schedules are memoized by ``(model, n, d_applications)`` — both objects
-are immutable, so sharing them across results is safe.
+schedules and charged ledgers are memoized by ``(model, n,
+d_applications, active)``.  All three objects are immutable (a ledger
+is frozen before it is shared), so sharing them across results is safe:
+results of one shape hold one ledger, not one each.
 
 ``skip_zero_capacity=True`` carries the capacity-aware flagged-round
 restriction of the per-instance samplers into batched groups: a machine
@@ -60,7 +63,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -71,15 +74,21 @@ from ..qsim.state import StateVector
 from ..core.exact_aa import AmplificationPlan, solve_plan
 from ..core.result import SamplingResult
 from ..core.schedule import QuerySchedule
-from ..database.distributed import DistributedDatabase
+from ..database.distributed import DistributedDatabase, resolve_nu
+from ..database.fault import normalize_fault_mask
 from ..database.ledger import QueryLedger
+from ..database.partition import partition_rows
 from ..errors import ValidationError
+from ..utils.rng import as_generator, spawn_seed
 from .backends import (
     CLASS_SUBSTRATE,
     create_stacked_backend,
     resolve_stacked_backend,
     resolve_stacked_name,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.sweep import InstanceSpec
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,12 @@ class ClassInstance:
     :class:`~repro.database.distributed.DistributedDatabase`: the
     per-element joint counts (which double as the class map), the public
     capacity ``ν``, the machine count (for ledger width and Lemma 4.2/4.4
-    accounting) and ``M``.  Two construction paths:
+    accounting) and ``M``.  Three construction paths:
 
-    * :meth:`from_db` — one ``O(nN)`` joint-count scan, the classic batch
-      path;
+    * :meth:`from_spec` — a spec's counts reduced to joints one machine
+      at a time, the path every spec request takes;
+    * :meth:`from_db` — one ``O(nN)`` joint-count scan of a built
+      database;
     * :meth:`from_class_state` — a snapshot of a **live**
       :class:`~repro.qsim.classvector.ClassVector` (e.g.
       :meth:`repro.database.dynamic.UpdateStream.class_state`), which the
@@ -118,6 +129,60 @@ class ClassInstance:
             n_machines=db.n_machines,
             total=int(joints.sum()),
             capacities=db.capacities,
+        )
+
+    @classmethod
+    def from_spec(
+        cls,
+        spec: InstanceSpec,
+        seed: object,
+        fault_mask: Iterable[int] | None = None,
+    ) -> "ClassInstance":
+        """Build a spec's instance straight into class coordinates.
+
+        Draws exactly :meth:`InstanceSpec.build`'s random stream, then
+        reduces the strategy's per-machine count rows
+        (:func:`~repro.database.partition.partition_rows`), one machine
+        at a time, to the joints, ``ν``, ``M`` and ``κ_j``: no
+        :class:`~repro.database.multiset.Multiset`, ``Machine`` or
+        :class:`DistributedDatabase`.  ``fault_mask`` applies on the
+        counts as :func:`~repro.database.fault.apply_fault_mask` does on
+        the database: lost rows leave the joints, their ``κ_j`` is 0 and
+        ``ν`` is kept.  Equal, field for field and error for error, to
+        ``from_db(apply_fault_mask(spec.build(seed), fault_mask))``.
+        """
+        gen = as_generator(seed)
+        rows = partition_rows(
+            spec.workload.counts(rng=spawn_seed(gen)),
+            spec.n_machines,
+            spec.strategy,
+            rng=spawn_seed(gen),
+        )
+        lost = frozenset(() if fault_mask is None else fault_mask)
+        joints = dropped = None
+        capacities = []
+        # One row alive at a time: no enumerate (its reused tuple would
+        # hold a row until the next one exists) and no stale loop variable.
+        for row in rows:
+            lost_row = len(capacities) in lost
+            joints = _accumulate(joints, row)
+            if lost_row:
+                dropped = _accumulate(dropped, row)
+            capacities.append(0 if lost_row else int(row.max()))
+            del row
+        assert joints is not None  # partition_rows yields n_machines ≥ 1 rows
+        # ν and its Eq. (1) check see every machine, as the unmasked build does.
+        nu = resolve_nu(spec.nu, int(joints.max()))
+        if fault_mask is not None:
+            normalize_fault_mask(fault_mask, len(capacities))
+        if dropped is not None:
+            joints -= dropped
+        return cls(
+            joints=joints,
+            nu=nu,
+            n_machines=len(capacities),
+            total=int(joints.sum()),
+            capacities=tuple(capacities),
         )
 
     @classmethod
@@ -164,6 +229,11 @@ class ClassInstance:
         }
 
 
+def _accumulate(total: np.ndarray | None, row: np.ndarray) -> np.ndarray:
+    """``total + row`` in place; the first row is copied (rows may be shared)."""
+    return row.astype(np.int64) if total is None else np.add(total, row, out=total)
+
+
 @lru_cache(maxsize=4096)
 def cached_plan(overlap: float) -> AmplificationPlan:
     """Memoized :func:`solve_plan` — plans depend only on ``a = M/(νN)``.
@@ -189,6 +259,43 @@ def _cached_schedule(
     return QuerySchedule.parallel_from_plan(
         n_machines, d_applications, active_machines=active
     )
+
+
+@lru_cache(maxsize=4096)
+def _cached_ledger(
+    model: str,
+    n_machines: int,
+    d_applications: int,
+    active: tuple[int, ...] | None = None,
+) -> QueryLedger:
+    """One full run's honest oracle cost, charged once and frozen.
+
+    Sequential: each ``D``/``D†`` is Lemma 4.2's sandwich — one forward
+    and one adjoint call per machine.  Parallel: each ``D``/``D†`` is
+    Lemma 4.4's 4 rounds — two forward, two adjoint.  Identical totals,
+    per-machine splits and forward/adjoint splits to what
+    ``ClassDistributingOperator`` records call by call.  With ``active``
+    given, the capacity-aware restriction applies: only the listed
+    machines are charged (sequential) or flagged (parallel rounds — the
+    round count itself is ``n``-free and cannot drop).
+
+    The ledger is a pure function of these four values and refuses
+    recording once frozen, so every result of one shape shares it (treat
+    its tallies as read-only).
+    """
+    ledger = QueryLedger(n_machines)
+    if model == "sequential":
+        for j in range(n_machines) if active is None else active:
+            ledger.record_machine_call(j, adjoint=False, count=d_applications)
+            ledger.record_machine_call(j, adjoint=True, count=d_applications)
+    else:
+        ledger.record_parallel_round(
+            adjoint=False, count=2 * d_applications, machines=active
+        )
+        ledger.record_parallel_round(
+            adjoint=True, count=2 * d_applications, machines=active
+        )
+    return ledger.freeze()
 
 
 def _active_machines(
@@ -217,37 +324,6 @@ def _active_restriction(inst: ClassInstance, skip_zero_capacity: bool) -> tuple[
     return _active_machines(inst.capacities, inst.n_machines, skip_zero_capacity)
 
 
-def _charge_run(
-    ledger: QueryLedger,
-    model: str,
-    n_machines: int,
-    d_applications: int,
-    active: tuple[int, ...] | None = None,
-) -> None:
-    """Charge one full run's honest oracle cost onto ``ledger``.
-
-    Sequential: each ``D``/``D†`` is Lemma 4.2's sandwich — one forward
-    and one adjoint call per machine.  Parallel: each ``D``/``D†`` is
-    Lemma 4.4's 4 rounds — two forward, two adjoint.  Identical totals,
-    per-machine splits and forward/adjoint splits to what
-    ``ClassDistributingOperator`` records call by call.  With ``active``
-    given, the capacity-aware restriction applies: only the listed
-    machines are charged (sequential) or flagged (parallel rounds — the
-    round count itself is ``n``-free and cannot drop).
-    """
-    if model == "sequential":
-        for j in range(n_machines) if active is None else active:
-            ledger.record_machine_call(j, adjoint=False, count=d_applications)
-            ledger.record_machine_call(j, adjoint=True, count=d_applications)
-    else:
-        ledger.record_parallel_round(
-            adjoint=False, count=2 * d_applications, machines=active
-        )
-        ledger.record_parallel_round(
-            adjoint=True, count=2 * d_applications, machines=active
-        )
-
-
 def _run_group(
     instances: Sequence[ClassInstance],
     plans: Sequence[AmplificationPlan],
@@ -259,9 +335,10 @@ def _run_group(
     """Execute one (backend, schedule-shape) group as a single stacked tensor.
 
     The control flow below is the whole engine: the named
-    :class:`~repro.batch.backends.StackedBackend` owns the tensor and the
-    batched ``D`` kernel; ledgers, schedules and plans are charged here,
-    identically for every substrate.  Every plan of a group shares one
+    :class:`~repro.batch.backends.StackedBackend` owns the tensor, the
+    batched ``D`` kernel and the iterate (``classes`` fuses it into one
+    call); ledgers, schedules and plans are attached here, identically
+    for every substrate.  Every plan of a group shares one
     schedule shape, so the group runs one lockstep loop.  Every group
     publishes its kernel wall time into the process metrics registry
     (``engine.group_s.<backend>``), the per-phase signal the ROADMAP's
@@ -271,22 +348,14 @@ def _run_group(
     plan0 = plans[0]
     backend = create_stacked_backend(backend_name, instances, model)
     state = backend.uniform_state()
-
-    def apply_q(varphi: complex | np.ndarray, phi: complex | np.ndarray) -> None:
-        # Q(φ, ϕ) = −D S_π(ϕ) D† S_χ(φ), mirroring core.engine.apply_q.
-        state.apply_phase_slice("w", 0, varphi)
-        backend.apply_d(state, adjoint=True)
-        state.apply_pi_projector_phase(phi)
-        backend.apply_d(state)
-        state.apply_global_phase(-1.0)
-
     backend.apply_d(state)  # the initial D
+    reflect = np.exp(1j * np.pi)
     for _ in range(plan0.grover_reps):
-        apply_q(np.exp(1j * np.pi), np.exp(1j * np.pi))
+        backend.apply_q(state, reflect, reflect)
     if plan0.needs_final:
         varphi = np.exp(1j * np.array([p.final_varphi for p in plans]))
         phi = np.exp(1j * np.array([p.final_phi for p in plans]))
-        apply_q(varphi, phi)
+        backend.apply_q(state, varphi, phi)
 
     fidelities = backend.fidelities(state)
     probabilities = (
@@ -295,9 +364,6 @@ def _run_group(
     results = []
     for b, (inst, plan) in enumerate(zip(instances, plans)):
         active = _active_restriction(inst, skip_zero_capacity)
-        ledger = QueryLedger(inst.n_machines)
-        _charge_run(ledger, model, inst.n_machines, plan.d_applications, active=active)
-        ledger.freeze()
         results.append(
             SamplingResult(
                 model=model,
@@ -306,7 +372,9 @@ def _run_group(
                 schedule=_cached_schedule(
                     model, inst.n_machines, plan.d_applications, active
                 ),
-                ledger=ledger,
+                ledger=_cached_ledger(
+                    model, inst.n_machines, plan.d_applications, active
+                ),
                 fidelity=float(fidelities[b]),
                 output_probabilities=(
                     probabilities[b] if probabilities is not None else None
@@ -446,9 +514,9 @@ def execute_class_batch(
 # optional output distribution), which cross zero-copy in a shm block.
 # ``unpack_group_results`` rebuilds full, honest results: recomputing
 # the overlap from the same integers gives the float-identical plan the
-# worker used (lru-cached by value), and ``_charge_run`` is
-# deterministic, so the reconstructed ledger/schedule match the
-# worker-side originals exactly.
+# worker used (lru-cached by value), and the ledger and schedule come
+# from the same memoized helpers, so they equal the worker-side
+# originals exactly.
 
 
 def pack_group_results(
@@ -545,9 +613,6 @@ def unpack_group_results(
         # float is identical, so cached_plan returns the worker's plan.
         plan = cached_plan(total / (nu * universe))
         active = _active_machines(capacities, n, skip_zero_capacity)  # type: ignore[arg-type]
-        ledger = QueryLedger(n)
-        _charge_run(ledger, model, n, plan.d_applications, active=active)
-        ledger.freeze()
         kind = entry["state"]
         if kind == "classes":
             seg = int(entry["seg"])  # type: ignore[arg-type]
@@ -581,7 +646,7 @@ def unpack_group_results(
                 backend=str(entry["backend"]),
                 plan=plan,
                 schedule=_cached_schedule(model, n, plan.d_applications, active),
-                ledger=ledger,
+                ledger=_cached_ledger(model, n, plan.d_applications, active),
                 fidelity=float(entry["fidelity"]),  # type: ignore[arg-type]
                 output_probabilities=(
                     np.array(arrays[probs_key]) if probs_key in arrays else None

@@ -32,6 +32,7 @@ from ..database.oracle import (
     validated_active_machines,
 )
 from ..errors import ValidationError
+from ..qsim.classvector import FlagRotation
 from ..qsim.operators import adjoint_blocks, controlled_rotation_blocks
 from ..qsim.register import Register, RegisterLayout
 from ..qsim.state import StateVector
@@ -70,6 +71,19 @@ def cached_u_blocks(nu: int) -> tuple[np.ndarray, np.ndarray]:
     forward.setflags(write=False)
     adjoint.setflags(write=False)
     return forward, adjoint
+
+
+@lru_cache(maxsize=256)
+def cached_u_rotation(nu: int) -> FlagRotation:
+    """The Eq. (6) blocks for capacity ``nu`` as the fused iterate's real planes.
+
+    Read off :func:`cached_u_blocks`' own entries (``c = U[·,0,0]``,
+    ``s = U[·,1,0]``, both real), so
+    :meth:`~repro.qsim.classvector.StackedClassVector.apply_q` multiplies
+    by exactly the numbers the block kernel does; read-only.
+    """
+    forward, _ = cached_u_blocks(nu)
+    return FlagRotation.from_planes(forward[:, 0, 0].real, forward[:, 1, 0].real)
 
 
 class DirectDistributingOperator:
@@ -135,7 +149,7 @@ class ClassDistributingOperator:
     execute — Lemma 4.2's ``2n'`` sequential calls per application, or
     Lemma 4.4's 4 parallel rounds — call by call, so complexity
     accounting is identical to the dense backends.  The stacked engine
-    charges the same totals in bulk (``repro.batch.engine._charge_run``);
+    charges the same totals in bulk (``repro.batch.engine._cached_ledger``);
     the ``==`` row gates between the two paths check that they agree.
     """
 

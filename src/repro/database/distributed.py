@@ -23,6 +23,23 @@ from .machine import Machine
 from .multiset import Multiset
 
 
+def resolve_nu(nu: int | None, joint_max: int) -> int:
+    """The public capacity for a declared ``nu`` and the joints' maximum.
+
+    ``None`` gives the tightest valid value ``max(joint_max, 1)``; a
+    declared ``ν`` below ``joint_max`` violates Eq. (1).
+    """
+    if nu is None:
+        nu = max(joint_max, 1)
+    nu = require_nonneg_int(nu, "nu")
+    if nu < joint_max:
+        raise CapacityError(
+            f"ν = {nu} is below the maximum joint multiplicity {joint_max}; "
+            "Eq. (1) requires ν ≥ max_i Σ_j c_ij"
+        )
+    return require_pos_int(nu, "nu")
+
+
 class DistributedDatabase:
     """``n`` machines over a common universe, with capacity bound ``ν``.
 
@@ -60,17 +77,7 @@ class DistributedDatabase:
                 "all machines must share the same universe size N",
             )
         self._machines = machines
-        joint_max = int(self.joint_counts.max()) if universe else 0
-        if nu is None:
-            nu = max(joint_max, 1)
-        nu = require_nonneg_int(nu, "nu")
-        if nu < joint_max:
-            raise CapacityError(
-                f"ν = {nu} is below the maximum joint multiplicity {joint_max}; "
-                "Eq. (1) requires ν ≥ max_i Σ_j c_ij"
-            )
-        require_pos_int(nu, "nu")
-        self._nu = nu
+        self._nu = resolve_nu(nu, int(self.joint_counts.max()) if universe else 0)
 
     # -- construction helpers ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ Theorems 4.3 / 4.5 make.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from ..errors import ValidationError
@@ -133,8 +133,12 @@ class QueryLedger:
         return max(t.total for t in self._machines)
 
     def tallies(self) -> Iterator[tuple[int, MachineTally]]:
-        """Iterate ``(machine, tally)`` pairs."""
-        return iter(enumerate(self._machines))
+        """Iterate ``(machine, tally)`` pairs.
+
+        The tallies are copies: a frozen ledger may be shared by many
+        results, so no reader can change it through them.
+        """
+        return ((j, replace(tally)) for j, tally in enumerate(self._machines))
 
     def summary(self) -> dict[str, object]:
         """A plain-dict snapshot for reports and JSON dumps."""

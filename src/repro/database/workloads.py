@@ -10,6 +10,7 @@ seeded for exact reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -20,41 +21,47 @@ from ..utils.validation import require, require_pos_int
 from .multiset import Multiset
 
 
-def uniform_dataset(universe: int, total: int, rng: object = None) -> Multiset:
+def uniform_counts(universe: int, total: int, rng: object = None) -> np.ndarray:
     """``total`` draws uniform over the universe (multinomial counts)."""
     universe = require_pos_int(universe, "universe")
     total = require_pos_int(total, "total")
     gen = as_generator(rng)
-    counts = gen.multinomial(total, np.full(universe, 1.0 / universe))
-    return Multiset.from_counts(counts.astype(np.int64))
+    return gen.multinomial(total, np.full(universe, 1.0 / universe))
 
 
-def zipf_dataset(
+@lru_cache(maxsize=32)
+def _zipf_weights(universe: int, exponent: float) -> np.ndarray:
+    """The normalized Zipf law over ``universe`` keys; read-only, cached."""
+    weights = (np.arange(1, universe + 1, dtype=np.float64)) ** (-exponent)
+    weights /= weights.sum()
+    weights.setflags(write=False)
+    return weights
+
+
+def zipf_counts(
     universe: int, total: int, exponent: float = 1.1, rng: object = None
-) -> Multiset:
+) -> np.ndarray:
     """``total`` draws from a Zipf law ``p_i ∝ (i+1)^{-exponent}``.
 
     The classic skewed-key workload: a few elements dominate — the regime
     where quantum sampling's amplitude encoding carries the most
-    structure.
+    structure.  The weights are computed once per ``(universe,
+    exponent)``.
     """
     universe = require_pos_int(universe, "universe")
     total = require_pos_int(total, "total")
     if exponent < 0:
         raise ValidationError(f"exponent must be nonnegative, got {exponent}")
     gen = as_generator(rng)
-    weights = (np.arange(1, universe + 1, dtype=np.float64)) ** (-exponent)
-    weights /= weights.sum()
-    counts = gen.multinomial(total, weights)
-    return Multiset.from_counts(counts.astype(np.int64))
+    return gen.multinomial(total, _zipf_weights(universe, exponent))
 
 
-def sparse_support_dataset(
+def sparse_support_counts(
     universe: int,
     support_size: int,
     multiplicity: int = 1,
     rng: object = None,
-) -> Multiset:
+) -> np.ndarray:
     """Exactly ``support_size`` random keys, each with fixed multiplicity.
 
     With ``multiplicity = 1`` this is the index-erasure / Grover-style
@@ -68,20 +75,20 @@ def sparse_support_dataset(
     support = gen.choice(universe, size=support_size, replace=False)
     counts = np.zeros(universe, dtype=np.int64)
     counts[support] = multiplicity
-    return Multiset.from_counts(counts)
+    return counts
 
 
-def single_key_dataset(universe: int, key: int, multiplicity: int = 1) -> Multiset:
+def single_key_counts(universe: int, key: int, multiplicity: int = 1) -> np.ndarray:
     """One key only — the Grover marked-element special case."""
     universe = require_pos_int(universe, "universe")
     require(0 <= key < universe, "key outside universe")
     multiplicity = require_pos_int(multiplicity, "multiplicity")
     counts = np.zeros(universe, dtype=np.int64)
     counts[key] = multiplicity
-    return Multiset.from_counts(counts)
+    return counts
 
 
-def block_dataset(universe: int, block_size: int, multiplicity: int = 1) -> Multiset:
+def block_counts(universe: int, block_size: int, multiplicity: int = 1) -> np.ndarray:
     """The first ``block_size`` keys with fixed multiplicity (deterministic).
 
     The canonical base input for hard-input families: its support is an
@@ -93,7 +100,41 @@ def block_dataset(universe: int, block_size: int, multiplicity: int = 1) -> Mult
     multiplicity = require_pos_int(multiplicity, "multiplicity")
     counts = np.zeros(universe, dtype=np.int64)
     counts[:block_size] = multiplicity
-    return Multiset.from_counts(counts)
+    return counts
+
+
+def uniform_dataset(universe: int, total: int, rng: object = None) -> Multiset:
+    """:func:`uniform_counts` as a :class:`Multiset`."""
+    return Multiset.from_counts(uniform_counts(universe, total, rng))
+
+
+def zipf_dataset(
+    universe: int, total: int, exponent: float = 1.1, rng: object = None
+) -> Multiset:
+    """:func:`zipf_counts` as a :class:`Multiset`."""
+    return Multiset.from_counts(zipf_counts(universe, total, exponent, rng))
+
+
+def sparse_support_dataset(
+    universe: int,
+    support_size: int,
+    multiplicity: int = 1,
+    rng: object = None,
+) -> Multiset:
+    """:func:`sparse_support_counts` as a :class:`Multiset`."""
+    return Multiset.from_counts(
+        sparse_support_counts(universe, support_size, multiplicity, rng)
+    )
+
+
+def single_key_dataset(universe: int, key: int, multiplicity: int = 1) -> Multiset:
+    """:func:`single_key_counts` as a :class:`Multiset`."""
+    return Multiset.from_counts(single_key_counts(universe, key, multiplicity))
+
+
+def block_dataset(universe: int, block_size: int, multiplicity: int = 1) -> Multiset:
+    """:func:`block_counts` as a :class:`Multiset`."""
+    return Multiset.from_counts(block_counts(universe, block_size, multiplicity))
 
 
 @dataclass(frozen=True)
@@ -118,7 +159,11 @@ class WorkloadSpec:
 
     def build(self, rng: object = None) -> Multiset:
         """Materialize the dataset."""
-        return make_workload(self.name, rng=rng, **dict(self.params))
+        return Multiset.from_counts(self.counts(rng))
+
+    def counts(self, rng: object = None) -> np.ndarray:
+        """The dataset's multiplicity vector: :meth:`build`'s draw, unwrapped."""
+        return workload_counts(self.name, rng=rng, **dict(self.params))
 
     def label(self) -> str:
         """Compact human-readable label for experiment tables."""
@@ -126,12 +171,12 @@ class WorkloadSpec:
         return f"{self.name}({inner})"
 
 
-GENERATORS: dict[str, Callable[..., Multiset]] = {
-    "uniform": uniform_dataset,
-    "zipf": zipf_dataset,
-    "sparse": sparse_support_dataset,
-    "single": single_key_dataset,
-    "block": block_dataset,
+GENERATORS: dict[str, Callable[..., np.ndarray]] = {
+    "uniform": uniform_counts,
+    "zipf": zipf_counts,
+    "sparse": sparse_support_counts,
+    "single": single_key_counts,
+    "block": block_counts,
 }
 
 #: Generators that consume a seed; the rest are fully deterministic.
@@ -146,9 +191,17 @@ def workload_names() -> tuple[str, ...]:
 def make_workload(name: str, rng: object = None, **params: object) -> Multiset:
     """Build a dataset through the named-generator registry.
 
-    The one dispatch point behind :meth:`WorkloadSpec.build`, the CLI's
+    The dataset behind :meth:`WorkloadSpec.build`, the CLI's
     ``--workload`` flag and the scenario engine — replacing ad-hoc
-    generator imports.  ``rng`` reaches only the seeded generators
+    generator imports: :func:`workload_counts` as a :class:`Multiset`.
+    """
+    return Multiset.from_counts(workload_counts(name, rng=rng, **params))
+
+
+def workload_counts(name: str, rng: object = None, **params: object) -> np.ndarray:
+    """The named generator's multiplicity vector (the one dispatch point).
+
+    ``rng`` reaches only the seeded generators
     (:data:`SEEDED_GENERATORS`); the deterministic ones ignore it.
     """
     try:

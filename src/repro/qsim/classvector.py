@@ -25,10 +25,16 @@ Two classes share this module.  :class:`StackedClassVector` is the one
 class kernel: ``B`` instances CSR-packed into one ``(Σ(ν_b+1), 2)``
 values plane plus ``(B + 1,)`` offsets, each segment exactly its
 instance's width (no padding for mixed ν), every operator of the loop a
-constant number of NumPy calls over the whole plane.  The stacked engine
-(:mod:`repro.batch.engine`) runs batches on it, and the per-instance
-``classes`` backend (:class:`~repro.core.backends.ClassesBackend`) a
-``B = 1`` stack, so a row does not depend on its batch by construction.
+constant number of NumPy calls over the whole plane.  The plane is
+column-major, so each flag column is contiguous.  The stacked engine
+(:mod:`repro.batch.engine`) runs batches on it, one fused
+:meth:`StackedClassVector.apply_q` per Grover iterate, and the
+per-instance ``classes`` backend
+(:class:`~repro.core.backends.ClassesBackend`) runs a ``B = 1`` stack
+through the five primitive kernels of the same iterate.  The fused
+rotations multiply by the real entries of the Eq. (6) blocks
+(:class:`FlagRotation`), which is the IEEE arithmetic of the block
+kernel, so a row does not depend on its batch or its path.
 :class:`ClassVector` is one instance's container and live view, with no
 kernels: the final state results carry (``StackedClassVector.extract``),
 the view :meth:`~repro.database.dynamic.UpdateStream.class_state` keeps
@@ -50,7 +56,7 @@ lengths, so they are built once per state.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -310,6 +316,48 @@ def _check_unit_scalar(phase: complex | np.ndarray) -> complex:
     return phase
 
 
+def _rotate(plane: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """``plane ← cos·plane + sin·(plane with its flag rows swapped)``, in place.
+
+    With :class:`FlagRotation` planes this is ``[[c, s], [−s, c]]`` (``D†``)
+    for ``cos`` and ``−[[c, −s], [s, c]]`` (``−D``) for ``neg_cos``.
+    """
+    swapped = sin * plane[::-1]
+    plane *= cos
+    plane += swapped
+
+
+class FlagRotation(NamedTuple):
+    """A per-cell real flag rotation ``[[c, −s], [s, c]]`` in the layout
+    :meth:`StackedClassVector.apply_q` reads.
+
+    Each cell's ``c`` and ``s`` appear twice, once per real and imaginary
+    part of its amplitude.  ``cos`` is ``(2·cells,)``; ``neg_cos`` is its
+    negation, so the iterate's global ``−1`` rides on ``D``; ``sin`` is
+    ``(2, 2·cells)``, ``+s`` on the flag-0 row and ``−s`` on the flag-1
+    row.
+    """
+
+    cos: np.ndarray
+    neg_cos: np.ndarray
+    sin: np.ndarray
+
+    @classmethod
+    def from_planes(cls, cos: np.ndarray, sin: np.ndarray) -> "FlagRotation":
+        """From per-cell ``c`` and ``s`` planes; the result is read-only."""
+        cos2 = np.repeat(np.asarray(cos, dtype=np.float64), 2)
+        sin2 = np.repeat(np.asarray(sin, dtype=np.float64), 2)
+        rotation = cls(cos2, -cos2, np.stack([sin2, -sin2]))
+        for plane in rotation:
+            plane.setflags(write=False)
+        return rotation
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["FlagRotation"]) -> "FlagRotation":
+        """One stack's rotation from its segments' rotations, in order."""
+        return cls(*(np.concatenate(planes, axis=-1) for planes in zip(*parts)))
+
+
 class StackedClassVector:
     """``B`` count-class states CSR-packed into one ``(Σ(ν_b+1), 2)`` plane.
 
@@ -365,10 +413,10 @@ class StackedClassVector:
         )
         self._index_segments()
         if values is None:
-            self._values = np.zeros((total_cells, 2), dtype=np.complex128)
+            self._values = np.zeros((total_cells, 2), dtype=np.complex128, order="F")
             self._expected_norms = np.zeros(len(maps), dtype=np.float64)
             return
-        arr = np.array(values, dtype=np.complex128, copy=True, order="C")
+        arr = np.array(values, dtype=np.complex128, copy=True, order="F")
         if arr.shape != (total_cells, 2):
             raise ValidationError(
                 f"values must have shape ({total_cells}, 2), got {arr.shape}"
@@ -418,7 +466,7 @@ class StackedClassVector:
         out._offsets = np.asarray(offsets, dtype=np.int64)
         out._n_classes = np.diff(out._offsets)
         out._class_sizes = np.asarray(class_sizes, dtype=np.float64)
-        out._values = np.array(values, dtype=np.complex128, copy=True, order="C")
+        out._values = np.array(values, dtype=np.complex128, copy=True, order="F")
         out._inv_sqrt_n = 1.0 / np.sqrt(
             np.array([ec.size for ec in out._element_classes], dtype=np.float64)
         )
@@ -474,7 +522,7 @@ class StackedClassVector:
         expected = (self._values.shape[0], 2, 2)
         if mats.shape != expected:
             raise ValidationError(f"mats must have shape {expected}, got {mats.shape}")
-        self._values = np.einsum("cab,cb->ca", mats, self._values)
+        self._values = np.einsum("cab,cb->ca", mats, self._values, order="F")
         return self._after_unitary()
 
     def apply_phase_slice(
@@ -494,10 +542,7 @@ class StackedClassVector:
             )
         if value not in (0, 1):
             raise ValidationError(f"flag value {value} out of range")
-        if np.ndim(phase) == 0:
-            self._values[:, value] *= _check_unit_scalar(phase)
-        else:
-            self._values[:, value] *= self._per_cell(phase)
+        self._scale_flag(value, phase)
         return self._after_unitary()
 
     def apply_pi_projector_phase(
@@ -514,15 +559,7 @@ class StackedClassVector:
         every flag-0 cell of the segment — ``O(Σν_b)`` in all.
         """
         require(element_reg == "i" and flag_reg == "w", "stacked registers are (i, w)")
-        if np.ndim(phase) == 0:
-            # The Grover loop's constant e^{iπ}: validate one scalar, not a column.
-            shift = _check_unit_scalar(phase) - 1.0
-        else:
-            shift = _as_phase_column(phase, self.batch_size)[:, 0] - 1.0
-        products = self._class_sizes * self._values[:, 0]
-        pi_overlap = self._inv_sqrt_n * self._segment_sums(products)
-        correction = shift * pi_overlap * self._inv_sqrt_n
-        self._values[:, 0] += correction[self._cell_segment]
+        self._pi_correct(self._pi_shift(phase))
         return self._after_unitary()
 
     def apply_global_phase(self, phase: complex | np.ndarray) -> "StackedClassVector":
@@ -532,6 +569,48 @@ class StackedClassVector:
         else:
             self._values *= self._per_cell(phase)[:, None]
         return self._after_unitary()
+
+    def apply_q(
+        self,
+        rotation: FlagRotation,
+        varphi: complex | np.ndarray,
+        phi: complex | np.ndarray,
+    ) -> "StackedClassVector":
+        """One iterate ``Q(φ, ϕ) = −D S_π(ϕ) D† S_χ(φ)`` in one call.
+
+        The five kernels :func:`repro.core.engine.apply_q` composes, fused:
+        ``S_χ`` scales the flag-0 column, ``D†`` and ``D`` rotate the two
+        flag columns as real planes (``rotation``, whose ``neg_cos``
+        carries the global ``−1``), and ``S_π`` adds its rank-one
+        correction to the flag-0 column.  The plane is column-major, so
+        each flag column is contiguous and the rotations run over real
+        views of it without a complex product.  For real rotation blocks
+        (the Eq. (6) ``U``) every product and sum is the IEEE operation
+        the five-kernel sequence performs, so the values are bit-identical
+        to it up to the sign of zero.  Phases are validated before
+        anything changes; under ``CONFIG.strict_checks`` the norms are
+        checked after every sub-step.
+        """
+        if rotation.cos.shape != (2 * self._values.shape[0],):
+            raise ValidationError(
+                f"rotation planes must cover {self._values.shape[0]} cells, "
+                f"got shape {rotation.cos.shape}"
+            )
+        shift = self._pi_shift(phi)
+        strict = CONFIG.strict_checks
+        self._scale_flag(0, varphi)  # S_χ(φ)
+        if strict:
+            self._after_unitary()
+        # (2, 2·cells): one row per flag, real and imaginary parts interleaved.
+        plane = self._values.T.view(np.float64)
+        _rotate(plane, rotation.cos, rotation.sin)  # D†
+        if strict:
+            self._after_unitary()
+        self._pi_correct(shift)  # S_π(ϕ)
+        if strict:
+            self._after_unitary()
+        _rotate(plane, rotation.neg_cos, rotation.sin)  # −D
+        return self._after_unitary() if strict else self
 
     # -- endpoint reads ----------------------------------------------------------
 
@@ -628,6 +707,35 @@ class StackedClassVector:
     def _per_cell(self, phase: np.ndarray) -> np.ndarray:
         """Validated per-instance phases gathered onto every cell."""
         return _as_phase_column(phase, self.batch_size)[:, 0][self._cell_segment]
+
+    def _scale_flag(self, value: int, phase: complex | np.ndarray) -> None:
+        """Multiply flag column ``value`` by a validated scalar or per-instance phase."""
+        if np.ndim(phase) == 0:
+            self._values[:, value] *= _check_unit_scalar(phase)
+        else:
+            self._values[:, value] *= self._per_cell(phase)
+
+    def _pi_shift(self, phase: complex | np.ndarray) -> complex | np.ndarray:
+        """``e^{iϕ} − 1`` for ``S_π``, validated: one scalar, or one per instance."""
+        if np.ndim(phase) == 0:
+            # The Grover loop's constant e^{iπ}: validate one scalar, not a column.
+            return _check_unit_scalar(phase) - 1.0
+        return _as_phase_column(phase, self.batch_size)[:, 0] - 1.0
+
+    def _pi_correct(self, shift: complex | np.ndarray) -> None:
+        """Add ``S_π``'s rank-one correction to every flag-0 cell.
+
+        ``⟨π,0|ψ_b⟩ = (1/√N_b)·Σ_c N_{b,c} α[b,c,0]`` over the segment's
+        own cells, then ``shift_b·⟨π,0|ψ_b⟩/√N_b`` onto each of them.
+        """
+        flag0 = self._values[:, 0]
+        pi_overlap = self._inv_sqrt_n * self._segment_sums(self._class_sizes * flag0)
+        correction = shift * pi_overlap * self._inv_sqrt_n
+        if self._width_groups is None:
+            # The plane is column-major, so this reshape is a view of flag0.
+            flag0.reshape(self.batch_size, -1)[...] += correction[:, None]
+        else:
+            flag0 += correction[self._cell_segment]
 
     def _after_unitary(self) -> "StackedClassVector":
         if CONFIG.strict_checks:

@@ -11,9 +11,10 @@ sequence wherever it runs.  This module writes that sequence once:
   (submission, ``requests``/``purge_completed``/``iter_results``/
   ``rows``, ``close``, the context manager) belongs to a private base
   both tiers share;
-* **build** — :meth:`_Lane.build` materializes the request (spec build,
-  fault mask, :class:`~repro.batch.engine.ClassInstance`, memoized
-  amplification plan) inside a ``build`` span and returns its packer
+* **build** — :meth:`_Lane.build` builds a spec request straight into
+  class coordinates (:meth:`~repro.batch.engine.ClassInstance.from_spec`,
+  fault mask included — no database) and looks up its memoized
+  amplification plan, inside a ``build`` span, and returns its packer
   key: the service's one stacked substrate (``backend="auto"`` runs
   ``classes``) × schedule shape;
 * **pack** — a :class:`~repro.serve.packer.ShapePacker` re-packs
@@ -68,7 +69,6 @@ from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, audit_row, default_row
 from ..batch.engine import ClassInstance, cached_plan, execute_class_batch
 from ..core.result import SamplingResult
 from ..database.dynamic import UpdateStream
-from ..database.fault import apply_fault_mask
 from ..errors import ValidationError
 from ..obs.trace import SpanContext, get_tracer, span
 from ..utils.rng import as_generator, spawn_seed
@@ -125,11 +125,8 @@ class ServedRequest:
         #: Service-clock timestamp of batch completion (None until done);
         #: ``completed_at - submitted_at`` is the request's latency.
         self.completed_at: float | None = None
-        # Set by the lane's build for spec requests; released (with the
-        # class-map snapshot) once the row is built at completion, so a
-        # retained or caller-held future costs row+result-sized memory,
-        # not database-sized.
-        self.db = None
+        # Built by the lane for spec requests, snapshotted at submission
+        # for live ones; released once the row is built at completion.
         self._instance = instance
         self._row: dict[str, object] | None = None
         self._event = threading.Event()
@@ -163,8 +160,8 @@ class ServedRequest:
         Spec requests produce **exactly** the configured ``row_fn``'s
         columns (``default_row`` by default) — bit-compatible with
         :func:`~repro.batch.driver.run_batched` rows for the same spec
-        and seed; the row is built once at completion (so the built
-        database can be released) and copied out here.  Live requests
+        and seed; the row is built once at completion and copied out
+        here.  Live requests
         share :func:`~repro.batch.driver.audit_row`, reading the sizes
         from the result's public parameters (there is no spec or
         database to label them).
@@ -232,10 +229,9 @@ def _complete(
     completed_at: float,
 ) -> None:
     """Resolve a request with its result: stats, then trace, then future."""
-    # Row and result are all a resolved request keeps: the built database
-    # and the O(N) class-map snapshot are released here.
+    # Row and result are all a resolved request keeps: the instance is
+    # released here (its class map lives on in the result's final state).
     request._row = row
-    request.db = None
     request._instance = None
     request.completed_at = completed_at
     stats.record_complete(completed_at - request.submitted_at, result)
@@ -282,10 +278,9 @@ class _Lane:
             with span("build", parent=request.trace_ctx, label=request.label):
                 if request._instance is None:
                     assert request.spec is not None
-                    request.db = request.spec.build(rng=request.seed)
-                    if request.fault_mask is not None:
-                        request.db = apply_fault_mask(request.db, request.fault_mask)
-                    request._instance = ClassInstance.from_db(request.db)
+                    request._instance = ClassInstance.from_spec(
+                        request.spec, request.seed, request.fault_mask
+                    )
                 plan = cached_plan(request._instance.overlap())
         except BaseException as error:  # bad spec/plan: fail just this request
             fail(request, error)
@@ -319,7 +314,7 @@ class _Lane:
         for request, result in zip(batch, results):
             try:
                 row = (
-                    dict(self.row_fn(request.spec, request.db, result))
+                    dict(self.row_fn(request.spec, result))
                     if request.spec is not None
                     else None
                 )
@@ -416,9 +411,9 @@ class _ServingTier:
         sequence, drawn in request order) instead.
 
         ``fault_mask`` marks machines lost for this request only: the
-        lane applies it after the build
-        (:func:`~repro.database.fault.apply_fault_mask` — shard dropped,
-        capacity republished as zero), so scenario traces interleave
+        lane applies it on the built counts, as
+        :func:`~repro.database.fault.apply_fault_mask` does on a database
+        (shard dropped, capacity republished as zero), so scenario traces interleave
         degraded and healthy requests in one service and each submission
         re-plans against its own topology.
 

@@ -7,8 +7,8 @@ completion/failure paths are the in-process tier's own
 (:mod:`repro.serve.service`), and each single-threaded worker runs the
 same build → pack → execute lane (``_Lane.build``, a
 :class:`~repro.serve.packer.ShapePacker`, ``_Lane.execute``) on its
-slice of the request stream — so database materialization and the
-stacked amplification kernels, the two CPU-bound halves of serving, run
+slice of the request stream — so the spec builds and the stacked
+amplification kernels, the two CPU-bound halves of serving, run
 on real cores instead of sharing one GIL.  A worker drains its packer
 whenever its pipe is empty: single-threaded, it is idle when it polls.
 
@@ -44,10 +44,11 @@ What the forked case adds:
   spawned for subsequent traffic.  A request lost twice fails its
   future instead of hanging the stream.
 
-Seeds are drawn by the shared submission path and workers build from
-``spec.build(rng=seed)``, so a sharded stream reproduces the unsharded
-service's rows for the same requests and seeds regardless of shard count
-(regression-tested with ``==`` on every row value by
+Seeds are drawn by the shared submission path and workers build with
+``ClassInstance.from_spec(spec, seed, mask)``, so a sharded stream
+reproduces the unsharded service's rows for the same requests and seeds
+regardless of shard count (regression-tested with ``==`` on every row
+value by
 ``tests/serve/test_shard.py`` and ``benchmarks/bench_e26_sharded_serving.py``).
 
 Telemetry aggregates per-shard :class:`~repro.serve.stats.ServiceStats`

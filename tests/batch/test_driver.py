@@ -45,7 +45,7 @@ class TestRows:
 
     def test_custom_row_fn(self):
         result = run_batched(
-            specs(count=2), rng=0, row_fn=lambda spec, db, res: {"f": res.fidelity}
+            specs(count=2), rng=0, row_fn=lambda spec, res: {"f": res.fidelity}
         )
         assert set(result.rows[0]) == {"f"}
 
@@ -114,7 +114,7 @@ class TestLazySpecStreams:
                 pulled.append(k)
                 yield spec
 
-        def recording_row(spec, db, result):
+        def recording_row(spec, result):
             consumed_at_execution.append(len(pulled))
             return {"label": spec.label()}
 

@@ -11,7 +11,9 @@ from repro.database import (
     uniform_dataset,
     zipf_dataset,
 )
+from repro.database.workloads import _zipf_weights
 from repro.errors import ValidationError
+from repro.utils.rng import as_generator
 
 
 class TestUniform:
@@ -47,6 +49,20 @@ class TestZipf:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValidationError):
             zipf_dataset(4, 10, exponent=-0.5)
+
+    @pytest.mark.parametrize("exponent", [0.0, 1, 1.1, 2.5])
+    def test_cached_weights_draw_the_uncached_dataset(self, exponent):
+        """The weights are computed once per (N, exponent), read-only, and
+        the multinomial draw is the one the per-call weights gave."""
+        weights = np.arange(1, 301, dtype=np.float64) ** (-exponent)
+        weights /= weights.sum()
+        expected = as_generator(7).multinomial(500, weights)
+        before = _zipf_weights.cache_info()
+        for _ in range(3):
+            assert (zipf_dataset(300, 500, exponent=exponent, rng=7).counts == expected).all()
+        after = _zipf_weights.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 2
+        assert not _zipf_weights(300, exponent).flags.writeable
 
 
 class TestSparse:

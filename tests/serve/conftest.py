@@ -31,12 +31,12 @@ class Hold:
         self._open = mp.RawValue("b", 0)
         self._entered = mp.Semaphore(0)
 
-    def row_fn(self, spec, db, result):
+    def row_fn(self, spec, result):
         self._entered.release()
         deadline = time.monotonic() + HOLD_TIMEOUT
         while not self._open.value and time.monotonic() < deadline:
             time.sleep(0.001)
-        return default_row(spec, db, result)
+        return default_row(spec, result)
 
     def wait_entered(self) -> None:
         """Block until one more request has reached the gate."""

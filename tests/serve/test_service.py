@@ -71,11 +71,11 @@ def bad_spec() -> InstanceSpec:
     )
 
 
-def row_fn_failing_on_tag(spec, db, result):
+def row_fn_failing_on_tag(spec, result):
     """``default_row``, except that a spec tagged ``bad-row`` raises."""
     if spec.tag == "bad-row":
         raise RuntimeError("row builder broke")
-    return default_row(spec, db, result)
+    return default_row(spec, result)
 
 
 def spec_of(total: int, n_machines: int = 2, tag: str = "") -> InstanceSpec:
