@@ -63,7 +63,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,7 +110,8 @@ class ClassInstance:
       :meth:`repro.database.dynamic.UpdateStream.class_state`), which the
       serving layer uses to re-sample a mutating dynamic database with an
       ``O(N)`` copy and *no* machine scan — the class map **is** the
-      joint-count table.
+      joint-count table, kept at the view's dtype (``uint8`` for
+      ``ν ≤ 255``); the other two paths build ``int64`` joints.
     """
 
     joints: np.ndarray
@@ -195,10 +196,12 @@ class ClassInstance:
         """Snapshot a live count-class view (dynamic-database serving).
 
         The element→class map of the samplers' ``classes`` substrate maps
-        each element to its joint count, so it is copied verbatim as the
-        ``joints`` table; ``M`` reduces over the ``O(ν)`` multiplicity
-        row.  The copy pins the request to the database state at snapshot
-        time — the stream may keep mutating while the batch executes.
+        each element to its joint count, so it is copied verbatim, at its
+        own integer dtype, as the ``joints`` table: a live view's map is
+        ``uint8`` for ``ν ≤ 255``, so the copy is one byte per element.
+        ``M`` reduces over the ``O(ν)`` multiplicity row.  The copy pins
+        the request to the database state at snapshot time — the stream
+        may keep mutating while the batch executes.
         """
         class_values = np.arange(state.n_classes, dtype=np.float64)
         return cls(
@@ -512,6 +515,9 @@ def execute_class_batch(
 # plain-scalar meta dict per instance (picklable, a few hundred bytes)
 # plus the genuinely big arrays (final-state amplitudes, class maps,
 # optional output distribution), which cross zero-copy in a shm block.
+# A class map the receiver already holds — a live snapshot the
+# dispatcher sent out — is left out and reattached on arrival, so it
+# crosses the process boundary once.
 # ``unpack_group_results`` rebuilds full, honest results: recomputing
 # the overlap from the same integers gives the float-identical plan the
 # worker used (lru-cached by value), and the ledger and schedule come
@@ -521,11 +527,14 @@ def execute_class_batch(
 
 def pack_group_results(
     results: Sequence[SamplingResult],
+    held: Collection[int] = (),
 ) -> tuple[list[dict[str, object]], dict[str, np.ndarray]]:
     """Flatten executed results into ``(meta, arrays)`` for the shm handoff.
 
     ``meta`` holds only plain scalars (ints, floats, small tuples);
-    ``arrays`` holds every ndarray, keyed ``<field><index>``.  Dense
+    ``arrays`` holds every ndarray, keyed ``<field><index>``, except the
+    class maps of the positions in ``held``: the receiver already holds
+    those maps and passes them to :func:`unpack_group_results`.  Dense
     final states record their register layout in the meta entry, so the
     wider ``(i, s, w)`` synced layouts survive the wire.  Class-substrate
     final states of the whole group are marshalled as **one** CSR triple
@@ -557,7 +566,8 @@ def pack_group_results(
         if isinstance(state, ClassVector):
             entry["state"] = "classes"
             entry["seg"] = len(widths)
-            arrays[f"ec{i}"] = state.element_classes
+            if i not in held:
+                arrays[f"ec{i}"] = state.element_classes
             widths.append(int(state.n_classes))
             sizes_parts.append(state.class_sizes)
             values_parts.append(state.class_amplitudes())
@@ -590,20 +600,28 @@ def unpack_group_results(
     arrays: dict[str, np.ndarray],
     model: str,
     skip_zero_capacity: bool,
+    held: Mapping[int, np.ndarray] | None = None,
+    positions: Iterable[int] | None = None,
 ) -> list[SamplingResult]:
     """Rebuild full :class:`SamplingResult` objects from the wire format.
 
     ``arrays`` may alias a shared-memory block about to be recycled, so
     every kept ndarray is copied out here (one memcpy per array — the
     transfer itself crossed the process boundary with zero
-    serialization).  Plans, schedules and ledgers are reconstructed
-    from the meta integers via the same memoized/deterministic helpers
-    the direct execution path uses, so the rebuilt result is
-    indistinguishable from one returned by
+    serialization).  ``held`` maps a position to the class map the
+    caller already holds for it (packed with ``held``): the final state
+    shares that very array, nothing is copied.  ``positions`` picks
+    which results to rebuild, in order (default: all), so a caller
+    skips results nobody waits for.  Plans, schedules and ledgers are
+    reconstructed from the meta integers via the same
+    memoized/deterministic helpers the direct execution path uses, so
+    the rebuilt result is indistinguishable from one returned by
     :func:`execute_class_batch` in-process.
     """
+    held = {} if held is None else held
     results: list[SamplingResult] = []
-    for i, entry in enumerate(meta):
+    for i in range(len(meta)) if positions is None else positions:
+        entry = meta[i]
         n = int(entry["n"])  # type: ignore[arg-type]
         universe = int(entry["N"])  # type: ignore[arg-type]
         total = int(entry["M"])  # type: ignore[arg-type]
@@ -619,7 +637,7 @@ def unpack_group_results(
             offsets = arrays["class_offsets"]
             lo, hi = int(offsets[seg]), int(offsets[seg + 1])
             final_state: object = ClassVector.from_parts(
-                np.array(arrays[f"ec{i}"]),
+                held[i] if i in held else np.array(arrays[f"ec{i}"]),
                 np.array(arrays["class_sizes"][lo:hi]),
                 np.array(arrays["class_values"][lo:hi]),
             )

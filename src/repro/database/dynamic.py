@@ -73,8 +73,10 @@ class UpdateStream:
         """A live count-class view of the joint database, updated in O(1).
 
         Builds a :class:`~repro.qsim.classvector.ClassVector` in ``|π⟩``
-        (one ``O(N)`` scan, on first call only) and thereafter keeps it
-        synchronized with the update stream via
+        (one ``O(N)`` scan, on first call only) whose class map is the
+        joint-count table at the narrowest unsigned dtype that holds
+        ``ν`` — one byte per element for ``ν ≤ 255`` — and thereafter
+        keeps it synchronized with the update stream via
         :meth:`~repro.qsim.classvector.ClassVector.transfer_element` —
         a ±1 joint-count change moves one element between adjacent count
         classes, so the class map never needs rebuilding.  The view is
@@ -87,14 +89,16 @@ class UpdateStream:
         layer consumes: :meth:`repro.serve.SamplerService.submit_live`
         snapshots this view (via
         :meth:`repro.batch.engine.ClassInstance.from_class_state`) to
-        re-sample a mutating database with an ``O(N)`` copy and no
-        ``O(nN)`` machine scan.
+        re-sample a mutating database with an ``O(N)`` copy of that
+        narrow map and no ``O(nN)`` machine scan.  Updates only ever
+        write classes ``0 … ν``, so the dtype always holds them.
         """
         if self._class_state is None:
             from ..qsim.classvector import ClassVector
 
+            nu = self._db.nu
             self._class_state = ClassVector.uniform(
-                self._db.joint_counts, self._db.nu + 1
+                self._db.joint_counts.astype(np.min_scalar_type(nu)), nu + 1
             )
         return self._class_state
 

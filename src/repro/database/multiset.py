@@ -35,26 +35,29 @@ class Multiset:
 
     def __init__(self, universe: int, counts: object = None) -> None:
         self._universe = require_pos_int(universe, "universe")
-        self._counts = np.zeros(self._universe, dtype=np.int64)
-        if counts is None:
-            return
+        # Vector inputs make exactly one validated copy; the rest start empty.
         if isinstance(counts, Multiset):
             require(
                 counts.universe == self._universe,
                 "universe mismatch when copying a Multiset",
             )
-            self._counts[:] = counts._counts
-        elif isinstance(counts, Mapping):
-            for element, count in counts.items():
-                self.add(element, count)
-        elif isinstance(counts, np.ndarray):
+            self._counts = counts._counts.copy()
+            return
+        if isinstance(counts, np.ndarray):
             if counts.shape != (self._universe,):
                 raise ValidationError(
                     f"count vector must have shape ({self._universe},), got {counts.shape}"
                 )
-            if np.any(counts < 0):
+            if counts.min() < 0:
                 raise ValidationError("multiplicities must be nonnegative")
-            self._counts[:] = counts.astype(np.int64)
+            self._counts = np.array(counts, dtype=np.int64)
+            return
+        self._counts = np.zeros(self._universe, dtype=np.int64)
+        if counts is None:
+            return
+        if isinstance(counts, Mapping):
+            for element, count in counts.items():
+                self.add(element, count)
         elif isinstance(counts, Iterable):
             for element in counts:
                 self.add(element)

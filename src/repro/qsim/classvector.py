@@ -16,7 +16,8 @@ representing the full state
 
 State memory is ``Θ(ν)`` — independent of the universe size ``N`` — which
 is what takes reachable instances from ``N ≈ 10⁴`` (dense cap) to
-``N ≥ 10⁶``.  The per-element class map (an ``int`` array of length ``N``)
+``N ≥ 10⁶``.  The per-element class map (an integer array of length
+``N``, kept at its own dtype — a live view's is ``uint8`` for ``ν ≤ 255``)
 is classical database metadata, not quantum state, and is only touched by
 ``O(N)`` *endpoint* operations (marginals, sampling), never inside the
 amplification loop.
@@ -66,6 +67,21 @@ from ..utils.validation import require
 from .register import RegisterLayout
 
 
+def _class_map(element_classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """A class map at its own integer dtype, without a copy; anything else as int64.
+
+    Maps are only indices, so a live view's ``uint8`` map is used as is.
+    A non-integer map, or one whose dtype cannot hold class
+    ``n_classes − 1`` (which :meth:`ClassVector.transfer_element` may
+    write), is cast to ``int64``.  Range checks are
+    :func:`_class_sizes`'s.
+    """
+    arr = np.asarray(element_classes)
+    if arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= n_classes - 1:
+        return arr
+    return arr.astype(np.int64)
+
+
 def _class_sizes(element_classes: np.ndarray, n_classes: int, where: str = "") -> np.ndarray:
     """The multiplicities ``N_c`` of one class map, range-checked in the same pass.
 
@@ -92,7 +108,8 @@ class ClassVector:
     ----------
     element_classes:
         Integer array of length ``N`` mapping each element to its class
-        (for the samplers: the joint count ``c_i``).
+        (for the samplers: the joint count ``c_i``), any integer dtype;
+        kept at that dtype and not copied (see :func:`_class_map`).
     n_classes:
         Number of classes (``ν + 1``); must exceed every entry of
         ``element_classes``.
@@ -110,7 +127,7 @@ class ClassVector:
         n_classes: int,
         amps: np.ndarray | None = None,
     ) -> None:
-        element_classes = np.asarray(element_classes, dtype=np.int64)
+        element_classes = _class_map(element_classes, n_classes)
         require(element_classes.ndim == 1, "element_classes must be a 1-D array")
         require(element_classes.size > 0, "need at least one element")
         require(n_classes >= 1, "need at least one class")
@@ -125,7 +142,7 @@ class ClassVector:
                     f"amplitudes must have shape ({n_classes}, 2), got {arr.shape}"
                 )
         self._amps = arr
-        # The class map may be the caller's array (np.asarray skips the
+        # The class map may be the caller's array (_class_map skips the
         # copy), so ownership is never assumed: the first
         # transfer_element copies before writing.
         self._owns_class_structure = False
@@ -364,7 +381,9 @@ class StackedClassVector:
     Parameters
     ----------
     element_classes:
-        One integer class map per instance (lengths ``N_b`` may differ).
+        One integer class map per instance (lengths ``N_b`` may differ),
+        any integer dtype; shared at that dtype, not copied (see
+        :func:`_class_map`).
     n_classes:
         Per-instance class counts (``ν_b + 1``); segment ``b`` of the
         values plane spans rows ``offsets[b]:offsets[b+1]`` and has
@@ -390,10 +409,11 @@ class StackedClassVector:
         n_classes: Sequence[int],
         values: np.ndarray | None = None,
     ) -> None:
-        maps = [np.asarray(ec, dtype=np.int64) for ec in element_classes]
-        require(len(maps) > 0, "a stacked state needs at least one instance")
-        require(len(maps) == len(n_classes), "one class count per instance")
+        maps = list(element_classes)
         counts = [int(c) for c in n_classes]
+        require(len(maps) > 0, "a stacked state needs at least one instance")
+        require(len(maps) == len(counts), "one class count per instance")
+        maps = [_class_map(ec, c) for ec, c in zip(maps, counts)]
         for b, (ec, c) in enumerate(zip(maps, counts)):
             require(ec.ndim == 1, f"instance {b}: element_classes must be 1-D")
             require(ec.size > 0, f"instance {b}: need at least one element")

@@ -24,14 +24,19 @@ What the forked case adds:
   :class:`~repro.serve.shm.ShmArena`; finished batches come back as a
   small pickled control message (indices, rows, plain-scalar meta, an
   :class:`~repro.serve.shm.ShmBlock` handle + array layout) while the
-  CSR class planes (or the ``(B, N, 2)`` dense payload) cross through
-  shared memory.  The dispatcher rebuilds full
-  :class:`~repro.core.result.SamplingResult` objects
+  CSR class planes, spec-built class maps (or the ``(B, N, 2)`` dense
+  payload) cross through shared memory.  A live snapshot's class map
+  crosses once: it goes out pickled with the request (one byte per
+  element for ``ν ≤ 255``), the dispatcher keeps it for death salvage,
+  and the worker leaves it out of the block.  The dispatcher rebuilds
+  full :class:`~repro.core.result.SamplingResult` objects
   (:func:`~repro.batch.engine.unpack_group_results` — copies the
-  aliased arrays), then sends a ``release`` so the worker's arena
-  recycles the block.  A momentarily full arena degrades that one batch
-  to pickling (counted as ``shm_fallback_batches``) instead of waiting
-  for a free block.  The pipe protocol itself can deadlock under
+  aliased arrays and reattaches each held snapshot map by identity)
+  for the requests still in flight, then sends a ``release`` so the
+  worker's arena recycles the block.  A momentarily full arena
+  degrades that one batch to pickling whole results (counted as
+  ``shm_fallback_batches``) instead of waiting for a free block.  The
+  pipe protocol itself can deadlock under
   backlog: ``_Shard.send`` holds ``send_lock`` across a blocking
   ``conn.send``, so a submit thread stuck on a full request pipe keeps
   the lock, the collector's ``("release", block)`` send waits on it and
@@ -205,13 +210,16 @@ def _ship(
 
     ``size`` is the flushed batch's size (rows that failed included),
     for the dispatcher's fill telemetry.  Every span the worker buffered
-    so far rides along as the message's trailing element.
+    so far rides along as the message's trailing element.  A live
+    snapshot's class map came from the dispatcher, which still holds it,
+    so the block leaves it out.
     """
     if not done:
         return
     requests = [request for request, _, _ in done]
     entries = [(request.index, row) for request, _, row in done]
     results = [result for _, result, _ in done]
+    held = {i for i, request in enumerate(requests) if request.spec is None}
     with span(
         "marshal",
         parent=requests[0].trace_ctx,
@@ -220,7 +228,7 @@ def _ship(
     ) as marshal:
         block = None
         try:
-            meta, arrays = pack_group_results(results)
+            meta, arrays = pack_group_results(results, held)
             block = arena.alloc(arrays_nbytes(arrays))
         except ValidationError:
             pass  # unmarshalable substrate: whole-result pickle below
@@ -368,9 +376,11 @@ class ShardedSamplerService(_ServingTier):
         """Route an accepted request to its affinity shard.
 
         A live request's snapshot, taken at submission, is pickled onto
-        the pipe here with its ``O(N)`` element-class map: the hot path
-        of live serving (about 1.3 ms per request at ``N = 10⁵``).  Only
-        results come back through shared memory.
+        the pipe here with its ``O(N)`` element-class map, one byte per
+        element for ``ν ≤ 255`` (a 100 KB pipe write at ``N = 10⁵``).
+        The map does not come back: the message stays in ``pending``
+        until the request resolves, and the collector reattaches the
+        snapshot's map to the result.
         """
         shard_id = self._shard_of(request)
         # The retry count stays LAST: the death handler re-queues with
@@ -493,10 +503,25 @@ class ShardedSamplerService(_ServingTier):
         if kind == "batch":
             _, entries, meta, block, layout, size, spans = message
             self._record_spans(spans)
+            # Rebuild only results someone still waits for (position →
+            # request); a live snapshot's map never left this process,
+            # so its result gets the dispatcher's copy back.
+            with self._state_lock:
+                waiting = {
+                    pos: self._futures[index]
+                    for pos, (index, _) in enumerate(entries)
+                    if index in self._futures
+                }
+            held = {
+                pos: req._instance.joints
+                for pos, req in waiting.items()
+                if req.spec is None
+            }
             try:
                 views = read_arrays(self._client.view(block), layout)
                 results = unpack_group_results(
-                    meta, views, self._lane.model, self._lane.skip_zero_capacity
+                    meta, views, self._lane.model, self._lane.skip_zero_capacity,
+                    held, waiting,
                 )
             except (ValidationError, FileNotFoundError):
                 # The worker died and its arena is gone (or recycled)
@@ -506,7 +531,9 @@ class ShardedSamplerService(_ServingTier):
             shard.send(("release", block))
             self.shm_batches += 1
             self.recorder.record("batch", shard=shard_id, size=size, shm=True)
-            self._resolve_batch(shard_id, shard, entries, results, size)
+            self._resolve_batch(
+                shard_id, shard, [entries[pos] for pos in waiting], results, size
+            )
         elif kind == "pbatch":
             _, entries, results, size, spans = message
             self._record_spans(spans)

@@ -3,7 +3,9 @@
 A pack → (shared memory) → unpack round trip must rebuild results
 indistinguishable from the in-process originals — same plan object,
 same ledger totals, same schedule fingerprint, same final state — with
-class states crossing as one CSR triple per group.
+class states crossing as one CSR triple per group.  Class maps the
+receiver already holds (live snapshots) stay out of the payload and are
+reattached by identity.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from repro.batch.engine import (
     unpack_group_results,
 )
 from repro.database import DistributedDatabase
+from repro.database.dynamic import random_update_stream
 from repro.errors import ValidationError
 from repro.qsim import ClassVector
 from repro.serve.shm import ArenaClient, ShmArena, arrays_nbytes, read_arrays, write_arrays
@@ -336,3 +339,64 @@ class TestPackUnpack:
                 ours.final_state.class_amplitudes(),
                 ref.final_state.class_amplitudes(),
             )
+
+
+def live_and_spec_batch(seed=47):
+    """Executed results alternating live snapshots (uint8 maps) and
+    database-built instances (int64 maps), with their instances."""
+    rng = as_generator(seed)
+    instances = []
+    for k in range(4):
+        db = random_database(rng)
+        if k % 2:
+            instances.append(ClassInstance.from_db(db))
+        else:
+            stream = random_update_stream(db, 4, rng=k)
+            stream.apply_all()
+            instances.append(ClassInstance.from_class_state(
+                stream.class_state(), db.n_machines, capacities=db.capacities
+            ))
+    assert [inst.joints.dtype for inst in instances] == [np.uint8, np.int64] * 2
+    return instances, execute_class_batch(instances, include_probabilities=False)
+
+
+class TestHeldClassMaps:
+    """A map the dispatcher already holds crosses the wire once."""
+
+    def test_pack_omits_exactly_the_held_maps(self):
+        _, original = live_and_spec_batch()
+        held = {0, 2}
+        meta, arrays = pack_group_results(original, held)
+        assert {k for k in arrays if k.startswith("ec")} == {"ec1", "ec3"}
+        assert arrays["ec1"].dtype == np.int64
+        full_meta, full = pack_group_results(original)
+        assert meta == full_meta
+        assert arrays_nbytes(full) - arrays_nbytes(arrays) >= sum(
+            original[i].final_state.element_classes.nbytes for i in held
+        )
+
+    def test_unpack_attaches_held_maps_by_identity(self):
+        instances, original = live_and_spec_batch()
+        meta, arrays = pack_group_results(original, {0, 2})
+        held = {0: instances[0].joints, 2: instances[2].joints}
+        rebuilt = unpack_group_results(meta, arrays, "sequential", False, held)
+        assert_results_match(rebuilt, original)
+        for i, (ours, ref) in enumerate(zip(rebuilt, original)):
+            state = ours.final_state
+            if i in held:
+                assert state.element_classes is held[i]
+            else:
+                assert state.element_classes is not arrays[f"ec{i}"]
+            assert state.element_classes.dtype == ref.final_state.element_classes.dtype
+            assert (state.element_classes == ref.final_state.element_classes).all()
+            assert (state.class_amplitudes() == ref.final_state.class_amplitudes()).all()
+
+    def test_positions_rebuild_a_subset_in_order(self):
+        instances, original = live_and_spec_batch()
+        meta, arrays = pack_group_results(original, {0, 2})
+        # Result 0 was resolved elsewhere: no held map, not rebuilt.
+        rebuilt = unpack_group_results(
+            meta, arrays, "sequential", False, {2: instances[2].joints}, [3, 2]
+        )
+        assert_results_match(rebuilt, [original[3], original[2]])
+        assert rebuilt[1].final_state.element_classes is instances[2].joints

@@ -6,13 +6,18 @@ and the ``π``-projector reduction behave on the edges the randomized
 grids rarely hit — single-instance stacks, ν = 0 instances (one class)
 next to wide ones, and ``N = 1`` universes.  Per-instance references are
 ``B = 1`` stacks, the state the per-instance ``classes`` backend runs on.
+Class maps of every integer width run the same kernel, kept at their
+own dtype.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batch import StackedClassVector
+from repro.batch import ClassInstance, StackedClassVector, execute_class_batch
+from repro.database import round_robin, zipf_dataset
+from repro.database.dynamic import random_update_stream
+from repro.errors import ValidationError
 from repro.qsim import ClassVector
 from repro.utils.rng import as_generator
 
@@ -281,3 +286,92 @@ class TestCsrPlane:
         offsets = state.offsets
         for b in range(len(widths)):
             assert sums[b] == np.sum(plane[offsets[b]:offsets[b + 1]])
+
+
+#: The integer widths a class map may arrive in: a live view's narrow
+#: unsigned map (``uint8`` for ν ≤ 255) and the spec builds' ``int64``.
+MAP_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+
+
+@st.composite
+def joint_tables(draw):
+    """One instance's joint counts (ν ≥ 1, M ≥ 1) and its machine count."""
+    nu = draw(st.integers(min_value=1, max_value=6))
+    joints = draw(st.lists(st.integers(0, nu), min_size=1, max_size=40))
+    if not any(joints):
+        joints[0] = nu
+    return np.array(joints, dtype=np.int64), nu, draw(st.integers(1, 3))
+
+
+class TestNarrowClassMaps:
+    """Maps are only indices: any integer width runs the same kernel."""
+
+    @given(st.lists(joint_tables(), min_size=1, max_size=4), st.sampled_from(
+        ["sequential", "parallel"]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_width_gives_equal_rows(self, tables, model):
+        """uint8, uint16, uint32 and int64 copies of the same maps give
+        ``==`` final states, fidelities and output probabilities."""
+        runs = []
+        for dtype in MAP_DTYPES:
+            instances = [
+                ClassInstance(joints.astype(dtype), nu, n, int(joints.sum()))
+                for joints, nu, n in tables
+            ]
+            runs.append(execute_class_batch(instances, model=model))
+        reference = runs[0]
+        for run in runs[1:]:
+            for ours, ref in zip(run, reference):
+                assert ours.fidelity == ref.fidelity
+                assert (ours.output_probabilities == ref.output_probabilities).all()
+                state, ref_state = ours.final_state, ref.final_state
+                assert (state.class_amplitudes() == ref_state.class_amplitudes()).all()
+                assert (state.class_sizes == ref_state.class_sizes).all()
+                assert (state.element_classes == ref_state.element_classes).all()
+        for dtype, run in zip(MAP_DTYPES, runs):
+            assert all(r.final_state.element_classes.dtype == dtype for r in run)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_unsigned_maps_are_shared_not_copied(self, dtype):
+        ec = np.array([0, 3, 1, 4, 4], dtype=dtype)
+        stacked = StackedClassVector.uniform([ec], [5])
+        assert stacked._element_classes[0] is ec
+        assert stacked.extract(0).element_classes is ec
+        assert ClassVector(ec, 5).element_classes is ec
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_class_out_of_range_still_raises(self, dtype):
+        ec = np.array([0, 5, 1], dtype=dtype)
+        with pytest.raises(ValidationError, match=r"\[0, 5\)"):
+            ClassVector(ec, 5)
+        with pytest.raises(ValidationError, match=r"instance 1: .*\[0, 5\)"):
+            StackedClassVector.uniform([np.zeros(2, dtype=dtype), ec], [1, 5])
+
+    def test_other_maps_are_cast_to_int64(self):
+        # Floats (as before) and a map too narrow for the top class
+        # transfer_element may write.
+        assert ClassVector(np.array([0.0, 2.0]), 3).element_classes.dtype == np.int64
+        wide = ClassVector(np.array([0, 255], dtype=np.uint8), 300)
+        assert wide.element_classes.dtype == np.int64
+        wide.transfer_element(0, 299)
+        assert wide.element_classes.tolist() == [299, 255]
+
+    def test_transfer_element_keeps_a_uint8_map(self):
+        ec = np.array([0, 1, 2, 3], dtype=np.uint8)
+        state = ClassVector.uniform(ec, 5)
+        state.transfer_element(2, 4)
+        assert state.element_classes.dtype == np.uint8
+        assert state.element_classes.tolist() == [0, 1, 4, 3]
+        assert ec.tolist() == [0, 1, 2, 3]  # copy on first write
+
+    def test_live_view_stays_uint8_under_updates(self):
+        db = round_robin(zipf_dataset(64, 40, exponent=1.2, rng=2), n_machines=3)
+        stream = random_update_stream(db, 30, rng=4)
+        view = stream.class_state()
+        assert db.nu <= 255 and view.element_classes.dtype == np.uint8
+        stream.apply_all()
+        assert view.element_classes.dtype == np.uint8
+        assert (view.element_classes == db.joint_counts).all()
+        snapshot = ClassInstance.from_class_state(view, db.n_machines)
+        assert snapshot.joints.dtype == np.uint8
+        assert snapshot.joints.nbytes == db.universe

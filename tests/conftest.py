@@ -1,6 +1,15 @@
-"""Shared fixtures: canonical databases, layouts, deterministic RNGs."""
+"""Shared fixtures: canonical databases, layouts, deterministic RNGs.
+
+Also a per-test watchdog: a test still running after
+:data:`HANG_TIMEOUT_S` dumps every thread's stack to the terminal and
+ends the run with exit status 1, instead of idling silently.
+"""
 
 from __future__ import annotations
+
+import faulthandler
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -76,5 +85,26 @@ def basic_layout() -> RegisterLayout:
     return RegisterLayout.of(i=4, s=3, w=2)
 
 
+#: Seconds one test may run before the watchdog fires: well above the
+#: serving tests' 60 s ``HOLD_TIMEOUT`` and any single test's runtime.
+HANG_TIMEOUT_S = 300.0
+
+#: A duplicate of the terminal's stderr, taken in ``pytest_configure``
+#: while output capture is suspended: a stack written to fd 2 during a
+#: test would land in pytest's capture file and be lost with the process.
+_watchdog_fd: int | None = None
+
+
 def pytest_configure(config):
+    global _watchdog_fd
     config.addinivalue_line("markers", "slow: long-running integration checks")
+    if _watchdog_fd is None:
+        _watchdog_fd = os.dup(sys.stderr.fileno())
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog():
+    """Dump all stacks and exit 1 if this test hangs."""
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=_watchdog_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()

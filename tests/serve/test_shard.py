@@ -4,6 +4,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import InstanceSpec
@@ -198,6 +199,53 @@ class TestWorkerDeathRecovery:
         assert events[-1] == "death"
         assert "route" in events
         assert dump[-1]["shard"] == 0
+
+    def test_requeued_live_snapshots_get_their_maps_back(self, hold):
+        # One worker, held in a spec request's row_fn, with live
+        # snapshots queued behind it: killed, its replacement re-runs
+        # them, and each result carries the map the dispatcher kept.
+        def churn():
+            db = round_robin(zipf_dataset(256, 60, exponent=1.2, rng=8), n_machines=3)
+            stream = random_update_stream(db, 40, rng=9)
+            stream.class_state()
+            return stream
+
+        stream = churn()
+        with ShardedSamplerService(shards=1, rng=3, row_fn=hold.row_fn) as tier:
+            blocker = tier.submit(spec_of(tag="blocker"))
+            hold.wait_entered()
+            live = []
+            for _ in range(4):
+                stream.apply_next(10)
+                live.append(tier.submit_live(stream))
+            os.kill(tier._shards[0].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while tier.worker_restarts == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            hold.release()
+            results = [f.result(timeout=60) for f in live]
+            assert blocker.result(timeout=60).exact
+            telemetry = tier.telemetry()
+        assert telemetry["requeued_batches"] >= 1
+        assert telemetry["failed"] == 0
+        replay = churn()
+        with SamplerService(rng=3) as plain:
+            reference = []
+            for _ in range(4):
+                replay.apply_next(10)
+                reference.append(plain.submit_live(replay).result(timeout=60))
+        for ours, ref in zip(results, reference):
+            assert ours.final_state.element_classes.dtype == np.uint8
+            assert (
+                ours.final_state.element_classes == ref.final_state.element_classes
+            ).all()
+            assert (
+                ours.final_state.class_amplitudes() == ref.final_state.class_amplitudes()
+            ).all()
+            assert ours.fidelity == ref.fidelity
+            assert ours.plan == ref.plan
+            assert ours.ledger.summary() == ref.ledger.summary()
+            assert ours.public_parameters == ref.public_parameters
 
     def test_rows_match_unsharded_even_across_a_restart(self, hold):
         specs = [spec_of(tag=f"t{i % 2}") for i in range(16)]
